@@ -8,6 +8,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace seda {
 
@@ -17,10 +18,12 @@ public:
 };
 
 /// Throws Seda_error when `cond` is false.  Used to validate user-supplied
-/// configuration at module boundaries.
-inline void require(bool cond, const std::string& what)
+/// configuration at module boundaries.  The message is only copied into a
+/// string when the check fails, so a passing check on a per-unit hot path
+/// costs one branch.
+inline void require(bool cond, std::string_view what)
 {
-    if (!cond) throw Seda_error(what);
+    if (!cond) throw Seda_error(std::string(what));
 }
 
 }  // namespace seda

@@ -1,24 +1,16 @@
 #include "core/secure_memory.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <string>
 
-#include "common/bitutil.h"
 #include "common/error.h"
 #include "obs/stage.h"
 
 namespace seda::core {
 
-Secure_memory::Secure_memory(std::span<const u8> enc_key, std::span<const u8> mac_key,
-                             Config cfg)
-    : cfg_(cfg), baes_(enc_key), hmac_(mac_key)
-{
-    require(cfg_.unit_bytes >= k_aes_block_bytes && cfg_.unit_bytes % k_aes_block_bytes == 0,
-            "Secure_memory: unit must be a multiple of 16 bytes");
-}
+namespace {
 
-crypto::Mac_context Secure_memory::context_for(Addr addr, u64 vn, u32 layer_id,
-                                               u32 fmap_idx, u32 blk_idx)
+crypto::Mac_context context_for(Addr addr, u64 vn, u32 layer_id, u32 fmap_idx, u32 blk_idx)
 {
     crypto::Mac_context ctx;
     ctx.pa = addr;
@@ -29,91 +21,74 @@ crypto::Mac_context Secure_memory::context_for(Addr addr, u64 vn, u32 layer_id,
     return ctx;
 }
 
-Secure_memory::Write_slot Secure_memory::stage_one(const Unit_write& w)
-{
-    require(w.addr % cfg_.unit_bytes == 0, "Secure_memory::write: unaligned address");
-    require(w.plaintext.size() == cfg_.unit_bytes,
-            "Secure_memory::write: plaintext must be one unit");
+}  // namespace
 
-    const u64 vn = ++onchip_vns_[w.addr];  // increment on every write (Eq. 1)
-    Stored_unit& unit = units_[w.addr];
-    unit.stored_vn = vn;  // only consulted when VNs are kept off-chip
-    return {&w, &unit, vn};
+Secure_memory::Secure_memory(std::span<const u8> enc_key, std::span<const u8> mac_key,
+                             Config cfg)
+    : cfg_(cfg), baes_(enc_key), hmac_(mac_key)
+{
+    require(cfg_.unit_bytes >= k_aes_block_bytes && cfg_.unit_bytes % k_aes_block_bytes == 0,
+            "Secure_memory: unit must be a multiple of 16 bytes");
 }
 
-void Secure_memory::encrypt_slot(const Write_slot& slot, const crypto::Baes_engine& baes,
-                                 const crypto::Hmac_engine& hmac,
-                                 std::vector<crypto::Block16>& pad_scratch)
+std::pair<const Secure_memory::Page*, std::size_t> Secure_memory::written_unit(
+    Addr addr, Cursor& cursor, const char* op) const
 {
-    const Unit_write& w = *slot.src;
-    Stored_unit& unit = *slot.unit;
-    unit.ciphertext.assign(w.plaintext.begin(), w.plaintext.end());
-    baes.crypt_with(unit.ciphertext, w.addr, slot.vn, pad_scratch);
-    unit.mac = hmac.positional_mac(
-        unit.ciphertext, context_for(w.addr, slot.vn, w.layer_id, w.fmap_idx, w.blk_idx));
+    if (addr % cfg_.unit_bytes != 0)
+        throw Seda_error(std::string(op) + ": unaligned address");
+    const u64 unit_no = addr / cfg_.unit_bytes;
+    const u64 page_no = unit_no / k_page_units;
+    if (page_no != cursor.page_no) {
+        const auto it = pages_.find(page_no);
+        cursor = {page_no, it == pages_.end() ? nullptr : &it->second};
+    }
+    const std::size_t unit = unit_no % k_page_units;
+    if (cursor.page == nullptr || cursor.page->vn[unit] == 0)
+        throw Seda_error(std::string(op) + ": unit never written");
+    return {cursor.page, unit};
 }
 
-std::vector<Secure_memory::Write_slot> Secure_memory::stage_writes(
+std::pair<Secure_memory::Page*, std::size_t> Secure_memory::written_unit(Addr addr,
+                                                                         const char* op)
+{
+    Cursor cursor;
+    const auto [page, unit] = std::as_const(*this).written_unit(addr, cursor, op);
+    return {const_cast<Page*>(page), unit};
+}
+
+std::span<const Secure_memory::Write_slot> Secure_memory::stage_writes(
     std::span<const Unit_write> batch)
 {
     obs::Stage_span span(obs::Stage::stage_writes);
     // Validate everything up front: a bad entry must throw before any VN is
-    // bumped or slot inserted, so a rejected batch leaves no half-staged
-    // (never-encrypted) units behind.
+    // bumped or cell claimed, so a rejected batch leaves nothing behind.
     for (const Unit_write& w : batch) {
         require(w.addr % cfg_.unit_bytes == 0, "Secure_memory::write: unaligned address");
         require(w.plaintext.size() == cfg_.unit_bytes,
                 "Secure_memory::write: plaintext must be one unit");
     }
 
-    std::vector<Write_slot> slots;
-    slots.reserve(batch.size());
-    if (batch.size() <= 64) {
-        // Small batches (the serving layer's coalescing windows, and every
-        // single write): a backward scan for the duplicate beats building a
-        // node-allocating hash map.  Scanning backward, the first entry
-        // with the same unit is the most recent -- and therefore live --
-        // one.
-        for (const Unit_write& w : batch) {
-            Write_slot slot = stage_one(w);
-            for (auto it = slots.rbegin(); it != slots.rend(); ++it) {
-                if (it->unit == slot.unit) {
-                    it->src = nullptr;
-                    break;
-                }
-            }
-            slots.push_back(slot);
+    staged_.resize(batch.size());
+    u64 page_no = ~u64{0};
+    Page* page = nullptr;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        const u64 unit_no = batch[i].addr / cfg_.unit_bytes;
+        if (unit_no / k_page_units != page_no) {
+            page_no = unit_no / k_page_units;
+            page = &pages_.try_emplace(page_no, cfg_.unit_bytes).first->second;
         }
-        return slots;
+        const std::size_t unit = unit_no % k_page_units;
+        const u64 vn = ++page->vn[unit];  // increment on every write (Eq. 1)
+        if (vn == 1) ++unit_count_;
+        page->stored_vn[unit] = vn;  // only consulted when VNs are kept off-chip
+        staged_[i] = {&batch[i], page, unit, vn};
     }
-
-    std::unordered_map<const Stored_unit*, std::size_t> last_slot_for;
-    for (const Unit_write& w : batch) {
-        Write_slot slot = stage_one(w);
-        // A repeated address inside the batch supersedes the earlier entry:
-        // serial ordering leaves only the last payload (under the last VN)
-        // in storage, so only that slot gets encrypted.
-        const auto [it, inserted] = last_slot_for.try_emplace(slot.unit, slots.size());
-        if (!inserted) {
-            slots[it->second].src = nullptr;
-            it->second = slots.size();
-        }
-        slots.push_back(slot);
-    }
-    return slots;
-}
-
-void Secure_memory::encrypt_slots(std::span<const Write_slot> slots,
-                                  const crypto::Baes_engine& baes,
-                                  const crypto::Hmac_engine& hmac,
-                                  std::vector<crypto::Block16>& pad_scratch)
-{
-    // Adapter for callers that only carry pad scratch: borrow it into a
-    // local Bulk_scratch so the reusable-pad behaviour is preserved.
-    Bulk_scratch scratch;
-    scratch.pads.swap(pad_scratch);
-    encrypt_slots(slots, baes, hmac, scratch);
-    scratch.pads.swap(pad_scratch);
+    // A repeated address inside the batch supersedes its earlier entries:
+    // serial ordering leaves only the last payload, under the unit's final
+    // VN, in storage -- so every slot holding an older VN is dropped.
+    for (Write_slot& slot : staged_)
+        if (slot.vn != slot.page->vn[slot.unit]) slot.src = nullptr;
+    return staged_;
 }
 
 void Secure_memory::encrypt_slots(std::span<const Write_slot> slots,
@@ -124,88 +99,37 @@ void Secure_memory::encrypt_slots(std::span<const Write_slot> slots,
     // extra reads over a single whole-call span.
     obs::Phase_timer phases;
     // Phase 0: every live slot's base OTP in one bulk AES call (the whole
-    // flush streams through the cipher's interleaved backend at once).
+    // run streams through the cipher's interleaved backend at once).
     auto& otp_reqs = scratch.otp_reqs;
     otp_reqs.clear();
-    otp_reqs.reserve(slots.size());
-    for (const Write_slot& slot : slots) {
-        if (slot.src == nullptr) continue;  // superseded in-batch
-        otp_reqs.push_back({slot.src->addr, slot.vn});
-    }
+    for (const Write_slot& slot : slots)
+        if (slot.src != nullptr) otp_reqs.push_back({slot.src->addr, slot.vn});
     scratch.otps.resize(otp_reqs.size());
     baes.otps_many(otp_reqs, scratch.otps);
 
-    // Phase 1: B-AES every live slot (pad fan-out + XOR lanes only -- the
-    // AES work happened in phase 0), gathering the MAC inputs.
+    // Phase 1: B-AES every live slot into its cell (pad fan-out + XOR lanes
+    // only -- the AES work happened in phase 0), gathering the MAC inputs.
     auto& reqs = scratch.reqs;
-    auto& targets = scratch.targets;
     reqs.clear();
-    targets.clear();
-    reqs.reserve(slots.size());
-    targets.reserve(slots.size());
-    std::size_t live = 0;
     for (const Write_slot& slot : slots) {
         if (slot.src == nullptr) continue;  // superseded in-batch
         const Unit_write& w = *slot.src;
-        Stored_unit& unit = *slot.unit;
-        unit.ciphertext.assign(w.plaintext.begin(), w.plaintext.end());
-        baes.crypt_with_base(unit.ciphertext, w.addr, slot.vn, scratch.otps[live++],
-                             scratch.pads);
-        reqs.push_back({unit.ciphertext,
-                        context_for(w.addr, slot.vn, w.layer_id, w.fmap_idx, w.blk_idx)});
-        targets.push_back(&unit);
+        const std::span<u8> cipher = slot.page->cipher(slot.unit);
+        const crypto::Block16& base = scratch.otps[reqs.size()];  // this slot's OTP
+        std::copy(w.plaintext.begin(), w.plaintext.end(), cipher.begin());
+        baes.crypt_with_base(cipher, w.addr, slot.vn, base, scratch.pads);
+        reqs.push_back(
+            {cipher, context_for(w.addr, slot.vn, w.layer_id, w.fmap_idx, w.blk_idx)});
     }
     phases.lap(obs::Stage::baes);
 
     // Phase 2: one bulk-HMAC call MACs the whole run.
     scratch.macs.resize(reqs.size());
     hmac.positional_macs(reqs, scratch.macs);
-    for (std::size_t i = 0; i < targets.size(); ++i) targets[i]->mac = scratch.macs[i];
+    std::size_t live = 0;
+    for (const Write_slot& slot : slots)
+        if (slot.src != nullptr) slot.page->mac[slot.unit] = scratch.macs[live++];
     phases.lap(obs::Stage::bulk_mac);
-}
-
-void Secure_memory::write_one(const Unit_write& w, std::vector<crypto::Block16>& pad_scratch)
-{
-    encrypt_slot(stage_one(w), baes_, hmac_, pad_scratch);
-}
-
-Verify_status Secure_memory::read_with(const Unit_read& r, const crypto::Baes_engine& baes,
-                                       const crypto::Hmac_engine& hmac,
-                                       std::vector<crypto::Block16>& pad_scratch) const
-{
-    require(r.out.size() == cfg_.unit_bytes, "Secure_memory::read: out must be one unit");
-    const auto it = units_.find(r.addr);
-    require(it != units_.end(), "Secure_memory::read: unit never written");
-    const Stored_unit& unit = it->second;
-
-    // Freshness source: the trusted on-chip table, or (vulnerably) whatever
-    // the untrusted memory claims.
-    const u64 vn = cfg_.onchip_vns ? onchip_vns_.at(r.addr) : unit.stored_vn;
-
-    const u64 expected = hmac.positional_mac(
-        unit.ciphertext, context_for(r.addr, vn, r.layer_id, r.fmap_idx, r.blk_idx));
-    if (expected != unit.mac) {
-        // With on-chip VNs a stale-but-self-consistent unit fails exactly
-        // here: its MAC was minted under an older VN.
-        if (cfg_.onchip_vns && unit.stored_vn != vn) return Verify_status::replay_detected;
-        return Verify_status::mac_mismatch;
-    }
-
-    std::copy(unit.ciphertext.begin(), unit.ciphertext.end(), r.out.begin());
-    baes.crypt_with(r.out, r.addr, vn, pad_scratch);
-    return Verify_status::ok;
-}
-
-void Secure_memory::read_units_with(std::span<const Unit_read> batch,
-                                    const crypto::Baes_engine& baes,
-                                    const crypto::Hmac_engine& hmac,
-                                    std::vector<crypto::Block16>& pad_scratch,
-                                    std::span<Verify_status> out_status) const
-{
-    Bulk_scratch scratch;
-    scratch.pads.swap(pad_scratch);
-    read_units_with(batch, baes, hmac, scratch, out_status);
-    scratch.pads.swap(pad_scratch);
 }
 
 void Secure_memory::read_units_with(std::span<const Unit_read> batch,
@@ -218,21 +142,25 @@ void Secure_memory::read_units_with(std::span<const Unit_read> batch,
     obs::Phase_timer phases;
 
     // Phase 1: validate and locate every entry before any output is
-    // touched, gathering the expected-MAC inputs (mirrors stage_writes's
-    // all-or-nothing validation on the write side).
+    // touched, gathering the expected-MAC and base-OTP inputs (mirrors
+    // stage_writes's all-or-nothing validation on the write side).
     auto& located = scratch.located;
     auto& reqs = scratch.reqs;
-    located.assign(batch.size(), {});
+    auto& otp_reqs = scratch.otp_reqs;
+    located.resize(batch.size());
     reqs.resize(batch.size());
+    otp_reqs.resize(batch.size());
+    Cursor cursor;
     for (std::size_t i = 0; i < batch.size(); ++i) {
         const Unit_read& r = batch[i];
         require(r.out.size() == cfg_.unit_bytes, "Secure_memory::read: out must be one unit");
-        const auto it = units_.find(r.addr);
-        require(it != units_.end(), "Secure_memory::read: unit never written");
-        const Stored_unit& unit = it->second;
-        const u64 vn = cfg_.onchip_vns ? onchip_vns_.at(r.addr) : unit.stored_vn;
-        located[i] = {&unit, vn};
-        reqs[i] = {unit.ciphertext,
+        const auto [page, unit] = written_unit(r.addr, cursor, "Secure_memory::read");
+        // Freshness source: the trusted on-chip VN, or (vulnerably) whatever
+        // the untrusted memory claims.
+        const u64 vn = cfg_.onchip_vns ? page->vn[unit] : page->stored_vn[unit];
+        located[i] = {page->mac[unit], page->stored_vn[unit]};
+        otp_reqs[i] = {r.addr, vn};
+        reqs[i] = {page->cipher(unit),
                    context_for(r.addr, vn, r.layer_id, r.fmap_idx, r.blk_idx)};
     }
     phases.lap(obs::Stage::locate);
@@ -243,104 +171,109 @@ void Secure_memory::read_units_with(std::span<const Unit_read> batch,
     hmac.positional_macs(reqs, expected);
     phases.lap(obs::Stage::bulk_mac);
 
-    // Phase 3: compare and decrypt per unit -- detection still fires per
-    // unit inside the batch.
+    // Phase 3: every base OTP in one bulk AES call, then compare and
+    // decrypt per unit -- detection still fires per unit inside the batch.
+    scratch.otps.resize(batch.size());
+    baes.otps_many(otp_reqs, scratch.otps);
     for (std::size_t i = 0; i < batch.size(); ++i) {
         const Unit_read& r = batch[i];
-        const Stored_unit& unit = *located[i].unit;
-        if (expected[i] != unit.mac) {
-            out_status[i] = cfg_.onchip_vns && unit.stored_vn != located[i].vn
+        const u64 vn = otp_reqs[i].vn;
+        if (expected[i] != located[i].mac) {
+            // With on-chip VNs a stale-but-self-consistent unit fails exactly
+            // here: its MAC was minted under an older VN.
+            out_status[i] = cfg_.onchip_vns && located[i].stored_vn != vn
                                 ? Verify_status::replay_detected
                                 : Verify_status::mac_mismatch;
             continue;
         }
-        std::copy(unit.ciphertext.begin(), unit.ciphertext.end(), r.out.begin());
-        baes.crypt_with(r.out, r.addr, located[i].vn, scratch.pads);
+        std::copy(reqs[i].ciphertext.begin(), reqs[i].ciphertext.end(), r.out.begin());
+        baes.crypt_with_base(r.out, r.addr, vn, scratch.otps[i], scratch.pads);
         out_status[i] = Verify_status::ok;
     }
     phases.lap(obs::Stage::verify);
 }
 
-Verify_status Secure_memory::read_one(const Unit_read& r,
-                                      std::vector<crypto::Block16>& pad_scratch) const
-{
-    return read_with(r, baes_, hmac_, pad_scratch);
-}
-
 void Secure_memory::write(Addr addr, std::span<const u8> plaintext, u32 layer_id,
                           u32 fmap_idx, u32 blk_idx)
 {
-    std::vector<crypto::Block16> pads;
-    write_one({addr, plaintext, layer_id, fmap_idx, blk_idx}, pads);
+    const Unit_write w{addr, plaintext, layer_id, fmap_idx, blk_idx};
+    write_units({&w, 1});
 }
 
 Verify_status Secure_memory::read(Addr addr, std::span<u8> out, u32 layer_id,
                                   u32 fmap_idx, u32 blk_idx)
 {
-    std::vector<crypto::Block16> pads;
-    return read_one({addr, out, layer_id, fmap_idx, blk_idx}, pads);
+    const Unit_read r{addr, out, layer_id, fmap_idx, blk_idx};
+    Verify_status status{};
+    read_units_with({&r, 1}, baes_, hmac_, scratch_, {&status, 1});
+    return status;
 }
 
 void Secure_memory::write_units(std::span<const Unit_write> batch)
 {
-    std::vector<crypto::Block16> pads;  // shared pad scratch for the tile
-    encrypt_slots(stage_writes(batch), baes_, hmac_, pads);
+    encrypt_slots(stage_writes(batch), baes_, hmac_, scratch_);
 }
 
 std::vector<Verify_status> Secure_memory::read_units(std::span<const Unit_read> batch)
 {
     std::vector<Verify_status> statuses(batch.size());
-    std::vector<crypto::Block16> pads;
-    read_units_with(batch, baes_, hmac_, pads, statuses);
+    read_units_with(batch, baes_, hmac_, scratch_, statuses);
     return statuses;
 }
 
 u64 Secure_memory::fold_all_macs() const
 {
+    // Never-written cells hold MAC 0, the fold's identity.
     crypto::Xor_mac_accumulator acc;
-    for (const auto& [addr, unit] : units_) {
-        (void)addr;
-        acc.fold(unit.mac);
+    for (const auto& [page_no, page] : pages_) {
+        (void)page_no;
+        for (const u64 mac : page.mac) acc.fold(mac);
     }
     return acc.value();
 }
 
 void Secure_memory::tamper(Addr addr, std::size_t byte_offset, u8 xor_mask)
 {
-    auto it = units_.find(addr);
-    require(it != units_.end(), "Secure_memory::tamper: unit never written");
-    require(byte_offset < it->second.ciphertext.size(),
-            "Secure_memory::tamper: offset outside unit");
-    it->second.ciphertext[byte_offset] =
-        static_cast<u8>(it->second.ciphertext[byte_offset] ^ xor_mask);
+    const auto [page, unit] = written_unit(addr, "Secure_memory::tamper");
+    require(byte_offset < cfg_.unit_bytes, "Secure_memory::tamper: offset outside unit");
+    u8& byte = page->cipher(unit)[byte_offset];
+    byte = static_cast<u8>(byte ^ xor_mask);
 }
 
 void Secure_memory::swap_units(Addr a, Addr b)
 {
-    require(units_.count(a) == 1 && units_.count(b) == 1,
-            "Secure_memory::swap_units: both units must exist");
-    std::swap(units_.at(a), units_.at(b));
+    const auto [pa, ua] = written_unit(a, "Secure_memory::swap_units");
+    const auto [pb, ub] = written_unit(b, "Secure_memory::swap_units");
+    if (pa == pb && ua == ub) return;
+    const std::span<u8> ca = pa->cipher(ua);
+    std::swap_ranges(ca.begin(), ca.end(), pb->cipher(ub).begin());
+    std::swap(pa->mac[ua], pb->mac[ub]);
+    std::swap(pa->stored_vn[ua], pb->stored_vn[ub]);
 }
 
 Secure_memory::Stored_unit Secure_memory::snapshot(Addr addr) const
 {
-    const auto it = units_.find(addr);
-    require(it != units_.end(), "Secure_memory::snapshot: unit never written");
-    return it->second;
+    Cursor cursor;
+    const auto [page, unit] = written_unit(addr, cursor, "Secure_memory::snapshot");
+    const std::span<const u8> cipher = page->cipher(unit);
+    return {{cipher.begin(), cipher.end()}, page->mac[unit], page->stored_vn[unit]};
 }
 
 void Secure_memory::rollback(Addr addr, const Stored_unit& old)
 {
-    require(units_.count(addr) == 1, "Secure_memory::rollback: unit never written");
-    units_.at(addr) = old;
+    const auto [page, unit] = written_unit(addr, "Secure_memory::rollback");
+    require(old.ciphertext.size() == cfg_.unit_bytes,
+            "Secure_memory::rollback: ciphertext must be one unit");
+    std::copy(old.ciphertext.begin(), old.ciphertext.end(), page->cipher(unit).begin());
+    page->mac[unit] = old.mac;
+    page->stored_vn[unit] = old.stored_vn;
 }
 
 void Secure_memory::corrupt_mac(Addr addr, u64 xor_mask)
 {
     require(xor_mask != 0, "Secure_memory::corrupt_mac: mask must flip at least one bit");
-    auto it = units_.find(addr);
-    require(it != units_.end(), "Secure_memory::corrupt_mac: unit never written");
-    it->second.mac ^= xor_mask;
+    const auto [page, unit] = written_unit(addr, "Secure_memory::corrupt_mac");
+    page->mac[unit] ^= xor_mask;
 }
 
 }  // namespace seda::core

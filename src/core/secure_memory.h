@@ -14,18 +14,30 @@
 //                    stored in the untrusted memory itself, rollback wins,
 //                    which is precisely why MGX/TNPU/SeDA keep them on-chip.
 //
-// Tile transfers go through the batch interface (write_units / read_units):
-// one call per tile amortizes the MAC-engine setup, the B-AES pad scratch
-// and the unit-map insertions across every unit the tile touches, streams
-// every unit MAC through the bulk HMAC pipeline
-// (crypto::Hmac_engine::positional_macs), and is bit-for-bit identical to
-// issuing the same units one write()/read() at a time
-// (tests/core/secure_memory_batch_test.cpp holds both properties).
+// Storage is a paged unit arena.  Units live in fixed pages of
+// k_page_units consecutive unit addresses, created on the first write into
+// them: a contiguous ciphertext slab plus mac[] and stored_vn[] arrays (the
+// untrusted side) and the on-chip vn[] array (the trusted side), reached
+// through one page table keyed by page number.  Finding a unit is one table
+// probe per page change plus an index, and there is no per-unit allocation.
+// Pages are never freed, and one isolated unit costs one whole page:
+// k_page_units x (unit_bytes + 24 B), 5.5 KiB at 64 B units.
+//
+// There is one write path and one read path.  A batch write stages serially
+// (validate, bump VNs, claim cells, supersede in-batch duplicates) and then
+// runs all its crypto through the bulk pipelines (encrypt_slots: batched
+// base OTPs, then one multi-buffer HMAC call); a batch read locates every
+// unit, computes every expected MAC and base OTP in bulk, then compares and
+// decrypts per unit (read_units_with).  write()/read() are batches of one,
+// so a tile issued one unit at a time is bit-for-bit identical to the same
+// tile in one call (tests/core/secure_memory_batch_test.cpp holds this).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -45,10 +57,16 @@ struct Secure_mem_config {
 };
 
 class Secure_memory {
+    struct Page;
+
 public:
     using Config = Secure_mem_config;
 
-    /// A unit as the attacker sees it: ciphertext + stored metadata.
+    /// Units per arena page (see the header comment for what a page costs).
+    static constexpr std::size_t k_page_units = 64;
+
+    /// A unit as the attacker sees it: ciphertext + stored metadata.  A copy
+    /// out of the arena (snapshot) and the only shape rollback accepts.
     struct Stored_unit {
         std::vector<u8> ciphertext;
         u64 mac = 0;
@@ -76,19 +94,19 @@ public:
     Secure_memory(std::span<const u8> enc_key, std::span<const u8> mac_key,
                   Config cfg = Config());
 
-    /// Encrypts and stores one unit-aligned, unit-sized write.  The version
-    /// number increments per write (Eq. 1); position fields bind the MAC
-    /// (Alg. 2 defense).
+    /// Encrypts and stores one unit-aligned, unit-sized write: a batch of
+    /// one.  The version number increments per write (Eq. 1); position
+    /// fields bind the MAC (Alg. 2 defense).
     void write(Addr addr, std::span<const u8> plaintext, u32 layer_id, u32 fmap_idx,
                u32 blk_idx);
 
-    /// Reads, decrypts and verifies one unit.  `out` must be unit-sized.
+    /// Reads, decrypts and verifies one unit (a batch of one).  `out` must
+    /// be unit-sized.
     [[nodiscard]] Verify_status read(Addr addr, std::span<u8> out, u32 layer_id,
                                      u32 fmap_idx, u32 blk_idx);
 
     /// Batch write: one tile transfer's worth of units in a single call.
-    /// Equivalent to write() per entry, in order, with the per-unit setup
-    /// amortized across the batch.
+    /// Equivalent to write() per entry, in order.
     void write_units(std::span<const Unit_write> batch);
 
     /// Batch read: verifies and decrypts every entry, returning one status
@@ -98,11 +116,11 @@ public:
 
     // ---- sharded-batch building blocks (runtime::Secure_session) ---------
     //
-    // A batch write splits into a cheap serial phase that touches the maps
-    // (VN bump + slot insertion, preserving write() ordering semantics) and
-    // an expensive crypto phase over disjoint slots that is safe to fan out
-    // across workers.  Reads need no staging: verify-and-decrypt is const
-    // once engines are supplied by the caller.
+    // A batch write splits into a cheap serial phase that touches the
+    // arena's bookkeeping (VN bump + cell claim, preserving write()
+    // ordering) and an expensive crypto phase over disjoint cells that is
+    // safe to fan out across workers.  Reads need no staging:
+    // verify-and-decrypt is const once engines are supplied by the caller.
 
     /// Destination of one staged batch entry.  `src == nullptr` marks an
     /// entry superseded by a later write to the same address in the same
@@ -110,81 +128,54 @@ public:
     /// encrypted, exactly as serial ordering would leave it).
     struct Write_slot {
         const Unit_write* src = nullptr;
-        Stored_unit* unit = nullptr;
+        Page* page = nullptr;
+        std::size_t unit = 0;  ///< index inside `page`
         u64 vn = 0;
     };
 
-    /// Serial phase of a sharded batch write: validates every entry, bumps
-    /// per-unit VNs and inserts/locates destination slots.  Callers must
-    /// run encrypt_slot() on every non-superseded slot before the memory is
-    /// read again.
-    [[nodiscard]] std::vector<Write_slot> stage_writes(std::span<const Unit_write> batch);
+    /// Serial phase of a sharded batch write: validates every entry (a bad
+    /// one throws before anything changes), bumps per-unit VNs and claims
+    /// destination cells.  The slots live in this memory's staging buffer
+    /// until the next stage_writes/write_units call; callers must run
+    /// encrypt_slots over all of them before the memory is read again.
+    [[nodiscard]] std::span<const Write_slot> stage_writes(std::span<const Unit_write> batch);
 
     /// Reusable scratch for the bulk crypto paths (encrypt_slots /
     /// read_units_with): the B-AES pad buffer plus the staging vectors the
-    /// bulk HMAC pipeline consumes.  One instance belongs to exactly one
-    /// thread at a time; runtime::Secure_session keeps one per worker and
-    /// reuses it across batches, so the steady-state serving path stops
-    /// allocating per call.
+    /// bulk AES and HMAC pipelines consume.  One instance belongs to exactly
+    /// one thread at a time; runtime::Secure_session keeps one per shard
+    /// and reuses it across batches, so the steady-state path allocates
+    /// nothing.
     struct Bulk_scratch {
         std::vector<crypto::Block16> pads;     ///< B-AES pad fan-out
+        std::vector<crypto::Baes_engine::Otp_request> otp_reqs;  ///< base-OTP inputs
+        std::vector<crypto::Block16> otps;     ///< batched base OTPs (otps_many)
         std::vector<crypto::Mac_request> reqs; ///< bulk-MAC inputs
         std::vector<u64> macs;                 ///< bulk-MAC outputs
-        std::vector<Stored_unit*> targets;     ///< write side: MAC destinations
-        std::vector<crypto::Baes_engine::Otp_request> otp_reqs;  ///< base-OTP batch inputs
-        std::vector<crypto::Block16> otps;     ///< batched base OTPs (otps_many)
         struct Located {
-            const Stored_unit* unit = nullptr;
-            u64 vn = 0;
+            u64 mac = 0;
+            u64 stored_vn = 0;
         };
-        std::vector<Located> located;          ///< read side: found units + VNs
+        std::vector<Located> located;          ///< read side: stored metadata
     };
 
-    /// Parallel-safe phase: encrypts and MACs one staged slot.  `baes` and
-    /// `hmac` may be per-worker engines, as long as they are keyed with this
-    /// memory's keys; slots are disjoint so concurrent calls never alias.
-    static void encrypt_slot(const Write_slot& slot, const crypto::Baes_engine& baes,
-                             const crypto::Hmac_engine& hmac,
-                             std::vector<crypto::Block16>& pad_scratch);
-
-    /// Bulk form of encrypt_slot over a contiguous run of staged slots:
-    /// B-AES encrypts every non-superseded slot, then all their MACs stream
-    /// through the HMAC engine's multi-buffer pipeline in one call.
-    /// Bit-identical to encrypt_slot per slot; shards of one staging may
-    /// run concurrently on distinct engine pairs (Secure_session does).
-    static void encrypt_slots(std::span<const Write_slot> slots,
-                              const crypto::Baes_engine& baes,
-                              const crypto::Hmac_engine& hmac,
-                              std::vector<crypto::Block16>& pad_scratch);
-
-    /// encrypt_slots with fully reusable scratch (pads + MAC staging); the
-    /// allocation-free steady state of the sharded/serving write path.
+    /// Crypto phase of a staged write over a contiguous run of its slots:
+    /// every live slot's base OTP in one bulk AES call, B-AES into the
+    /// slot's cell, then all their MACs through the HMAC engine's
+    /// multi-buffer pipeline in one call.  `baes` and `hmac` may be
+    /// per-worker engines keyed with this memory's keys; live slots never
+    /// share a cell, so disjoint runs of one staging may run concurrently.
     static void encrypt_slots(std::span<const Write_slot> slots,
                               const crypto::Baes_engine& baes,
                               const crypto::Hmac_engine& hmac, Bulk_scratch& scratch);
 
-    /// Verify-and-decrypt one unit against caller-supplied engines.  Const
-    /// and map-read-only, so disjoint-output calls may run concurrently
-    /// (no concurrent writer allowed).
-    [[nodiscard]] Verify_status read_with(const Unit_read& r,
-                                          const crypto::Baes_engine& baes,
-                                          const crypto::Hmac_engine& hmac,
-                                          std::vector<crypto::Block16>& pad_scratch) const;
-
-    /// Bulk form of read_with: validates and locates every entry up front
-    /// (a bad entry throws before any output byte is written), computes all
-    /// expected MACs through the bulk HMAC pipeline, then compares and
-    /// decrypts per unit into `out_status` (same size as `batch`).  Same
-    /// statuses and plaintext as read_with per entry; disjoint-output calls
-    /// may run concurrently (no concurrent writer allowed).
-    void read_units_with(std::span<const Unit_read> batch,
-                         const crypto::Baes_engine& baes,
-                         const crypto::Hmac_engine& hmac,
-                         std::vector<crypto::Block16>& pad_scratch,
-                         std::span<Verify_status> out_status) const;
-
-    /// read_units_with with fully reusable scratch (pads + MAC staging); the
-    /// allocation-free steady state of the sharded/serving read path.
+    /// Bulk verify-and-decrypt against caller-supplied engines: validates
+    /// and locates every entry up front (an unaligned, wrong-size or
+    /// never-written entry throws before any output byte is written),
+    /// computes all expected MACs and base OTPs in bulk, then compares and
+    /// decrypts per unit into `out_status` (same size as `batch`).  Const,
+    /// so disjoint-output calls may run concurrently (no concurrent writer
+    /// allowed).
     void read_units_with(std::span<const Unit_read> batch,
                          const crypto::Baes_engine& baes,
                          const crypto::Hmac_engine& hmac, Bulk_scratch& scratch,
@@ -195,9 +186,14 @@ public:
     [[nodiscard]] u64 fold_all_macs() const;
 
     [[nodiscard]] const Config& config() const { return cfg_; }
-    [[nodiscard]] std::size_t unit_count() const { return units_.size(); }
+    /// Units written at least once.
+    [[nodiscard]] std::size_t unit_count() const { return unit_count_; }
 
     // ---- attacker interface (untrusted memory / bus adversary) ----------
+    //
+    // Views over the arena's untrusted cells (ciphertext, mac, stored_vn);
+    // the on-chip VNs are out of reach.  Every call throws on a unit that
+    // was never written.
 
     /// Flips bits inside a stored unit's ciphertext.
     void tamper(Addr addr, std::size_t byte_offset, u8 xor_mask);
@@ -210,6 +206,8 @@ public:
     [[nodiscard]] Stored_unit snapshot(Addr addr) const;
 
     /// Restores a previously snapshotted unit (replay / rollback attack).
+    /// Throws if `old` does not hold exactly one unit of ciphertext: a bus
+    /// adversary cannot change a unit's size.
     void rollback(Addr addr, const Stored_unit& old);
 
     /// Flips bits of a stored unit's MAC word (integrity-metadata fault).
@@ -232,23 +230,53 @@ public:
     }
 
 private:
-    [[nodiscard]] static crypto::Mac_context context_for(Addr addr, u64 vn, u32 layer_id,
-                                                         u32 fmap_idx, u32 blk_idx);
-    [[nodiscard]] Write_slot stage_one(const Unit_write& w);
-    void write_one(const Unit_write& w, std::vector<crypto::Block16>& pad_scratch);
-    [[nodiscard]] Verify_status read_one(const Unit_read& r,
-                                         std::vector<crypto::Block16>& pad_scratch) const;
+    /// k_page_units consecutive units.  Zero-filled on creation; a unit
+    /// whose on-chip VN is still 0 was never written.
+    struct Page {
+        explicit Page(Bytes unit_bytes) : ciphertext(k_page_units * unit_bytes) {}
+
+        /// Unit `i`'s ciphertext cell in the slab.
+        [[nodiscard]] std::span<u8> cipher(std::size_t i)
+        {
+            const std::size_t n = ciphertext.size() / k_page_units;
+            return {ciphertext.data() + i * n, n};
+        }
+        [[nodiscard]] std::span<const u8> cipher(std::size_t i) const
+        {
+            return const_cast<Page*>(this)->cipher(i);
+        }
+
+        std::vector<u8> ciphertext;                 ///< the slab
+        std::array<u64, k_page_units> mac{};
+        std::array<u64, k_page_units> stored_vn{};  ///< consulted only when !onchip_vns
+        std::array<u64, k_page_units> vn{};         ///< trusted on-chip VNs
+    };
+
+    /// The page-table probe of one call, reused while consecutive units
+    /// stay in the same page.  Always local to a call, so concurrent const
+    /// reads share no mutable state.
+    struct Cursor {
+        u64 page_no = ~u64{0};
+        const Page* page = nullptr;
+    };
+
+    /// Page and in-page index of a written unit; throws (naming `op`) when
+    /// `addr` is unaligned or was never written.
+    [[nodiscard]] std::pair<const Page*, std::size_t> written_unit(Addr addr, Cursor& cursor,
+                                                                   const char* op) const;
+    [[nodiscard]] std::pair<Page*, std::size_t> written_unit(Addr addr, const char* op);
 
     Config cfg_;
     crypto::Baes_engine baes_;
     crypto::Hmac_engine hmac_;  ///< precomputed-key MAC engine
-    // Hash maps, not ordered maps: the serving hot path does two address
-    // lookups per unit, and nothing observable depends on iteration order
-    // (fold_all_macs is an order-free XOR; node references stay stable
-    // across rehash, which stage_writes's Write_slot pointers rely on).
-    std::unordered_map<Addr, Stored_unit> units_;  ///< the untrusted array
-    std::unordered_map<Addr, u64> onchip_vns_;     ///< trusted on-chip VN table
-    std::atomic<dram::Dram_tap*> tap_{nullptr};    ///< bus-adversary seam
+    // A hash map, not an ordered map: nothing observable depends on page
+    // order (fold_all_macs is an order-free XOR), and nodes stay put across
+    // rehash, which the Page pointers in Write_slot rely on.
+    std::unordered_map<u64, Page> pages_;  ///< page number -> page
+    std::size_t unit_count_ = 0;
+    std::vector<Write_slot> staged_;       ///< stage_writes output buffer
+    Bulk_scratch scratch_;                 ///< serial path's bulk scratch
+    std::atomic<dram::Dram_tap*> tap_{nullptr};  ///< bus-adversary seam
 };
 
 }  // namespace seda::core

@@ -33,8 +33,8 @@ Secure_session::Secure_session(std::span<const u8> enc_key, std::span<const u8> 
 
 void Secure_session::build_workers(std::span<const u8> enc_key, std::span<const u8> mac_key)
 {
-    workers_.reserve(pool_->size());
-    for (std::size_t w = 0; w < pool_->size(); ++w)
+    workers_.reserve(pool_->size() + 1);
+    for (std::size_t w = 0; w <= pool_->size(); ++w)
         workers_.push_back(
             {crypto::Baes_engine(enc_key), crypto::Hmac_engine(mac_key), {}});
 }
@@ -48,7 +48,7 @@ void Secure_session::write_units(std::span<const core::Secure_memory::Unit_write
     // batch is staged, on the one thread that owns the memory right now.
     mem_.pull_dram_tap();
 
-    // Validation, VN bumps and slot insertion happen here, serially and in
+    // Validation, VN bumps and cell claims happen here, serially and in
     // batch order -- so a bad entry throws before any worker starts.
     const auto slots = mem_.stage_writes(batch);
 
@@ -63,9 +63,8 @@ void Secure_session::write_units(std::span<const core::Secure_memory::Unit_write
         // Whole-shard bulk phase: B-AES per slot, then every MAC of the
         // shard through the multi-buffer HMAC pipeline in one call
         // (superseded entries are skipped inside).
-        const std::span<const core::Secure_memory::Write_slot> shard(
-            slots.data() + range.begin, range.size());
-        core::Secure_memory::encrypt_slots(shard, ws.baes, ws.hmac, ws.scratch);
+        core::Secure_memory::encrypt_slots(slots.subspan(range.begin, range.size()),
+                                           ws.baes, ws.hmac, ws.scratch);
     });
 }
 

@@ -2,33 +2,37 @@
 //
 // A tile transfer is embarrassingly parallel on the crypto axis: every unit
 // is encrypted/MAC'd (or verified/decrypted) independently.  What is *not*
-// parallel is the bookkeeping -- VN bumps and unit-map insertion mutate the
+// parallel is the bookkeeping -- VN bumps and arena cell claims mutate the
 // trusted on-chip state in write order.  Secure_session splits the two:
 //
 //   write_units:  serial stage (Secure_memory::stage_writes -- VN per entry,
-//                 slot per address, duplicate entries superseded exactly as
+//                 cell per address, duplicate entries superseded exactly as
 //                 serial ordering would) then the expensive crypto phase
-//                 fanned across contiguous per-worker shards, each shard
-//                 running B-AES per unit and one bulk multi-buffer HMAC
-//                 call for its whole slot range (encrypt_slots).
+//                 fanned across contiguous shards, each shard running
+//                 batched base OTPs, B-AES per unit and one bulk
+//                 multi-buffer HMAC call for its whole slot range
+//                 (encrypt_slots).
 //   read_units:   no staging needed; each shard bulk-verifies and decrypts
 //                 its contiguous range via the const read_units_with path.
 //
-// Small batches (the serving layer's coalescing windows) skip the pool and
-// run inline on the caller's thread -- the pool hop costs more than the
-// crypto of a few dozen units; output is identical either way.
+// Shards run on the calling thread plus every pool worker
+// (Thread_pool::parallel_for runs shard 0 on the caller).  Small batches
+// (the serving layer's coalescing windows) skip the pool and run inline on
+// the caller's thread -- the pool hop costs more than the crypto of a few
+// dozen units; output is identical either way.
 //
-// Determinism contract: shard boundaries come from shard_ranges(n, workers)
-// -- pure arithmetic on (n, workers), independent of scheduling -- and
-// every unit's ciphertext/MAC depends only on its own slot, so the
-// resulting memory state and statuses are bit-for-bit identical to the
-// serial batch path at ANY worker count -- including which units of a
-// tampered tile report mac_mismatch / replay_detected
+// Determinism contract: shard boundaries come from
+// shard_ranges(n, workers + 1) -- pure arithmetic, independent of
+// scheduling -- and every unit's ciphertext/MAC depends only on its own
+// slot, so the resulting memory state and statuses are bit-for-bit
+// identical to the serial batch path at ANY worker count -- including
+// which units of a tampered tile report mac_mismatch / replay_detected
 // (tests/runtime/secure_session_test.cpp holds this against the serial
 // path on ragged sizes).
 //
-// Thread-safety: every shard owns its own Worker_state -- a Baes_engine /
-// Hmac_engine pair (keyed with the session keys) plus the bulk pad/MAC
+// Thread-safety: every shard owns its own Worker_state -- one per pool
+// worker plus one for the caller's shard 0, each a Baes_engine /
+// Hmac_engine pair (keyed with the session keys) plus the bulk crypto
 // scratch, reused across batches -- so no crypto state is shared at all and
 // the steady-state batch path allocates nothing.  The session itself is
 // thread-compatible like its substrate: one batch call at a time per
@@ -63,8 +67,8 @@ public:
                    core::Secure_mem_config cfg = {}, std::size_t workers = 0);
 
     /// Shares `pool` instead of owning one; `pool` must outlive the
-    /// session.  One Worker_state per pool worker, exactly as the owning
-    /// constructors build.
+    /// session.  Worker_states as the owning constructor builds them: one
+    /// per pool worker plus one for the caller.
     Secure_session(std::span<const u8> enc_key, std::span<const u8> mac_key,
                    core::Secure_mem_config cfg, Thread_pool& pool);
 
@@ -73,6 +77,7 @@ public:
     [[nodiscard]] core::Secure_memory& memory() { return mem_; }
     [[nodiscard]] const core::Secure_memory& memory() const { return mem_; }
 
+    /// Pool workers; bulk calls shard over these plus the calling thread.
     [[nodiscard]] std::size_t workers() const { return pool_->size(); }
 
     /// Tags this session's flight-recorder flush events with a tenant id
@@ -90,7 +95,7 @@ public:
         std::span<const core::Secure_memory::Unit_read> batch);
 
 private:
-    /// Shared-nothing per-worker state: engines keyed with the session keys
+    /// Shared-nothing per-shard state: engines keyed with the session keys
     /// plus the bulk crypto scratch, which persists across batches so the
     /// steady-state path is allocation-free.
     struct Worker_state {
@@ -103,7 +108,7 @@ private:
 
     core::Secure_memory mem_;
     u32 flight_tenant_ = 0xFFFFFFFFu;      ///< obs::k_flight_no_tenant until tagged
-    std::vector<Worker_state> workers_;    ///< one per pool worker
+    std::vector<Worker_state> workers_;    ///< [0]: the caller; then one per pool worker
     std::unique_ptr<Thread_pool> owned_pool_;  ///< null when the pool is shared
     Thread_pool* pool_;                    ///< owned_pool_.get() or the shared pool
 };

@@ -52,15 +52,22 @@ void Thread_pool::worker_loop()
 void Thread_pool::parallel_for(std::size_t n,
                                const std::function<void(std::size_t, Index_range)>& body)
 {
-    const auto ranges = shard_ranges(n, size());
+    const auto ranges = shard_ranges(n, size() + 1);
+    if (ranges.empty()) return;
     std::vector<std::future<void>> joins;
-    joins.reserve(ranges.size());
-    for (std::size_t s = 0; s < ranges.size(); ++s)
+    joins.reserve(ranges.size() - 1);
+    for (std::size_t s = 1; s < ranges.size(); ++s)
         joins.push_back(submit([&body, s, range = ranges[s]] { body(s, range); }));
 
+    // Shard 0 runs here rather than leaving the caller blocked in the join.
+    std::exception_ptr first_failure;
+    try {
+        body(0, ranges.front());
+    } catch (...) {
+        first_failure = std::current_exception();
+    }
     // Join everything before rethrowing: sibling shards may still be
     // touching caller stack frames.
-    std::exception_ptr first_failure;
     for (auto& j : joins) {
         try {
             j.get();

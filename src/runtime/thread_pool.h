@@ -8,11 +8,14 @@
 //
 //   * submit() returns a std::future; an exception thrown by the task is
 //     captured there and rethrows at .get(), so worker threads never die.
-//   * parallel_for() joins *every* shard before rethrowing the first
-//     failure -- callers' stack frames referenced by sibling shards must
-//     stay alive until all shards stop touching them.
-//   * A pool of one worker still runs tasks on that worker (never inline),
-//     so code behaves identically -- just serially -- at jobs=1.
+//   * parallel_for() splits work over the workers *plus the calling
+//     thread*: the caller runs shard 0 instead of sitting blocked in the
+//     join.  It joins *every* shard before rethrowing the first failure --
+//     callers' stack frames referenced by sibling shards must stay alive
+//     until all shards stop touching them.
+//   * submit() never runs a task inline (short of shutdown): a pool of one
+//     worker still runs it on that worker, so code behaves identically --
+//     just serially -- at jobs=1.
 #pragma once
 
 #include <cstddef>
@@ -30,9 +33,10 @@ namespace seda::runtime {
 
 /// Balanced contiguous [begin, end) shards of `n` items over at most
 /// `shards` workers: the first `n % shards` ranges get one extra item and
-/// empty ranges are never produced.  Shared by Secure_session and
-/// parallel_for so shard boundaries (and thus per-worker engine pairing)
-/// are consistent everywhere.
+/// empty ranges are never produced.  parallel_for uses it with
+/// `shards = size() + 1`, so shard boundaries (and thus Secure_session's
+/// per-shard engine pairing) are pure arithmetic on the item and worker
+/// counts.
 struct Index_range {
     std::size_t begin = 0;
     std::size_t end = 0;
@@ -80,10 +84,11 @@ public:
         return future;
     }
 
-    /// Splits [0, n) into one contiguous shard per worker and runs
-    /// `body(shard_index, range)` on the pool, blocking until every shard
-    /// has finished.  The first shard exception (in shard order) is
-    /// rethrown after the join.
+    /// Splits [0, n) into shard_ranges(n, size() + 1) and runs
+    /// `body(shard_index, range)` for each: shard 0 on the calling thread,
+    /// the rest on the pool, returning once every shard has finished.  The
+    /// first shard exception (in shard order) is rethrown after the join.
+    /// Calling it from a pool task can still deadlock a saturated pool.
     void parallel_for(std::size_t n,
                       const std::function<void(std::size_t, Index_range)>& body);
 

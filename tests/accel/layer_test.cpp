@@ -1,6 +1,8 @@
 // Layer descriptor geometry: shapes, GEMM lowering, byte accounting.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "accel/layer.h"
 #include "common/error.h"
 
@@ -87,6 +89,13 @@ struct Bad_layer_case {
     const char* name;
     Layer_desc desc;
 };
+
+// Prints the case name rather than the raw bytes (pointers included) gtest would
+// print, so test names are stable across builds.
+void PrintTo(const Bad_layer_case& c, std::ostream* os)
+{
+    *os << c.name;
+}
 
 Layer_desc raw_conv(int ih, int iw, int cin, int fh, int fw, int cout, int stride)
 {

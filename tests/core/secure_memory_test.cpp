@@ -122,6 +122,34 @@ TEST(SecureMemory, ReplaySucceedsWithOffchipVns)
     EXPECT_EQ(out, v1);  // ... and the accelerator consumes stale weights
 }
 
+TEST(SecureMemory, RollbackRejectsAUnitOfAnotherSize)
+{
+    // A bus adversary can replay stored bytes but cannot resize a unit: a
+    // snapshot that is not exactly one unit of ciphertext is refused and
+    // leaves the stored unit as it was.
+    Keys k;
+    Secure_memory mem(k.enc, k.mac);
+    const auto plain = unit_data(16);
+    mem.write(0x1000, plain, 0, 0, 0);
+    const auto before = mem.snapshot(0x1000);
+
+    auto short_unit = before;
+    short_unit.ciphertext.resize(32);
+    auto long_unit = before;
+    long_unit.ciphertext.push_back(0);
+    for (const auto& bad : {Secure_memory::Stored_unit{}, short_unit, long_unit}) {
+        EXPECT_THROW(mem.rollback(0x1000, bad), Seda_error);
+        const auto after = mem.snapshot(0x1000);
+        EXPECT_EQ(after.ciphertext, before.ciphertext);
+        EXPECT_EQ(after.mac, before.mac);
+        EXPECT_EQ(after.stored_vn, before.stored_vn);
+    }
+
+    std::vector<u8> out(64);
+    EXPECT_EQ(mem.read(0x1000, out, 0, 0, 0), Verify_status::ok);
+    EXPECT_EQ(out, plain);
+}
+
 TEST(SecureMemory, WrongPositionFieldsFailVerification)
 {
     Keys k;

@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <numeric>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -72,6 +74,13 @@ struct Fips_vector {
     const char* plaintext;
     const char* ciphertext;
 };
+
+// Names each case by its key size (4 bits per hex digit) rather than by the
+// pointer bytes gtest would print, so test names are stable across builds.
+void PrintTo(const Fips_vector& v, std::ostream* os)
+{
+    *os << "AES-" << std::strlen(v.key) * 4;
+}
 
 class AesFipsTest : public ::testing::TestWithParam<Fips_vector> {};
 

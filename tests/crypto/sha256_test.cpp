@@ -1,6 +1,8 @@
 // FIPS 180-4 conformance of the from-scratch SHA-256.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,13 @@ struct Sha_vector {
     const char* message;
     const char* digest_hex;
 };
+
+// Names each case by its message length rather than by the pointer bytes gtest
+// would print, so test names are stable across builds.
+void PrintTo(const Sha_vector& v, std::ostream* os)
+{
+    *os << std::strlen(v.message) << "-byte message";
+}
 
 class Sha256VectorTest : public ::testing::TestWithParam<Sha_vector> {};
 

@@ -2,9 +2,11 @@
 // the shard geometry every sharded runtime path relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/error.h"
@@ -105,20 +107,50 @@ TEST(ThreadPool, ParallelForJoinsEveryShardBeforeRethrowing)
         FAIL() << "expected Seda_error";
     } catch (const Seda_error&) {
     }
-    // Every non-throwing shard finished before the rethrow reached us.
-    EXPECT_EQ(completed.load(), 3);
+    // Every non-throwing shard (4 workers + the caller's shard 0, minus the
+    // thrower) finished before the rethrow reached us.
+    EXPECT_EQ(completed.load(), 4);
 }
 
 TEST(ThreadPool, SingleWorkerPoolRunsEverything)
 {
+    // One worker plus the caller: exactly two shards, splitting the range.
     Thread_pool pool(1);
     std::atomic<long> sum{0};
+    std::atomic<int> shards_seen{0};
+    std::atomic<std::size_t> shard_mask{0};
     pool.parallel_for(100, [&](std::size_t shard, Index_range range) {
-        EXPECT_EQ(shard, 0u);
+        shards_seen.fetch_add(1);
+        shard_mask.fetch_or(std::size_t{1} << shard);
+        EXPECT_EQ(range, shard_ranges(100, 2)[shard]);
         for (std::size_t i = range.begin; i < range.end; ++i)
             sum.fetch_add(static_cast<long>(i));
     });
+    EXPECT_EQ(shards_seen.load(), 2);
+    EXPECT_EQ(shard_mask.load(), 0b11u);
     EXPECT_EQ(sum.load(), 99 * 100 / 2);
+}
+
+TEST(ThreadPool, ParallelForRunsShardZeroOnTheCallingThread)
+{
+    Thread_pool pool(3);
+    const auto caller = std::this_thread::get_id();
+    for (const std::size_t n : {1u, 2u, 4u, 5u, 1000u}) {
+        std::vector<std::atomic<int>> hits(n);
+        std::vector<std::thread::id> ran_on(4);
+        std::atomic<int> shards{0};
+        pool.parallel_for(n, [&](std::size_t shard, Index_range range) {
+            ran_on[shard] = std::this_thread::get_id();
+            shards.fetch_add(1);
+            for (std::size_t i = range.begin; i < range.end; ++i)
+                hits[i].fetch_add(1, std::memory_order_relaxed);
+        });
+        EXPECT_EQ(static_cast<std::size_t>(shards.load()), std::min<std::size_t>(n, 4)) << n;
+        EXPECT_EQ(ran_on[0], caller) << n;
+        for (std::size_t s = 1; s < std::min<std::size_t>(n, 4); ++s)
+            EXPECT_NE(ran_on[s], caller) << n << " shard " << s;
+        for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << n;
+    }
 }
 
 TEST(ThreadPool, ManyConcurrentSubmittersAreSafe)

@@ -110,17 +110,19 @@ TEST(TenantIsolation, CrossTenantEnginesFailMacVerification)
     // plaintext out.
     const crypto::Baes_engine a_baes(a.enc_key());
     const crypto::Hmac_engine a_hmac(a.mac_key());
-    std::vector<crypto::Block16> pads;
+    Secure_memory::Bulk_scratch scratch;
     std::vector<u8> out(k_unit_bytes, 0xAA);
     const Secure_memory::Unit_read r{addr, out, 1, 0, 0};
-    EXPECT_EQ(b.session().memory().read_with(r, a_baes, a_hmac, pads),
-              Verify_status::mac_mismatch);
+    Verify_status status = Verify_status::ok;
+    b.session().memory().read_units_with({&r, 1}, a_baes, a_hmac, scratch, {&status, 1});
+    EXPECT_EQ(status, Verify_status::mac_mismatch);
     EXPECT_EQ(out, std::vector<u8>(k_unit_bytes, 0xAA));  // untouched
 
     // B's own engines still verify.
     const crypto::Baes_engine b_baes(b.enc_key());
     const crypto::Hmac_engine b_hmac(b.mac_key());
-    EXPECT_EQ(b.session().memory().read_with(r, b_baes, b_hmac, pads), Verify_status::ok);
+    b.session().memory().read_units_with({&r, 1}, b_baes, b_hmac, scratch, {&status, 1});
+    EXPECT_EQ(status, Verify_status::ok);
     EXPECT_EQ(out, data);
 }
 
