@@ -10,6 +10,7 @@
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/stage.h"
+#include "obs/trace.h"
 
 using namespace seda;
 
@@ -73,6 +74,20 @@ void bm_obs_phase_timer_two_laps(benchmark::State& state)
     }
 }
 BENCHMARK(bm_obs_phase_timer_two_laps);
+
+void bm_obs_flight_record(benchmark::State& state)
+{
+    // The always-on flight-recorder append, paid once per flush on the
+    // serve path: a thread_local load, an uncontended lock and one 64 B
+    // store into this thread's ring.
+    u64 addr = 0;
+    for (auto _ : state) {
+        obs::Flight_recorder::record(obs::Flight_kind::flush_write, 1, addr, 4, 256);
+        benchmark::ClobberMemory();
+        addr += 64;
+    }
+}
+BENCHMARK(bm_obs_flight_record);
 
 void bm_obs_scrape(benchmark::State& state)
 {

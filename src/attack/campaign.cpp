@@ -15,9 +15,9 @@
 #include "infer/run_infer.h"
 #include "infer/unit_sink.h"
 #include "models/zoo.h"
-#include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/stage.h"
+#include "obs/trace.h"
 #include "serve/loadgen.h"
 #include "serve/server.h"
 

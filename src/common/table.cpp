@@ -1,6 +1,7 @@
 #include "common/table.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -82,6 +83,24 @@ std::string fmt_bytes(unsigned long long bytes)
     else
         ss << bytes << " B";
     return ss.str();
+}
+
+std::string json_escaped(std::string_view s)
+{
+    std::string out;
+    for (const char c : s) {
+        if (c == '"' || c == '\\') {
+            out += '\\';
+            out += c;
+        } else if (static_cast<unsigned char>(c) < 0x20) {
+            char buf[8];
+            std::snprintf(buf, sizeof buf, "\\u%04x", c);
+            out += buf;
+        } else {
+            out += c;
+        }
+    }
+    return out;
 }
 
 }  // namespace seda

@@ -1,11 +1,14 @@
 // Minimal ASCII table / CSV emitters for the benchmark harness.
 //
 // Every bench binary reproduces one table or figure of the paper; the
-// formatter keeps their output uniform and machine-parsable.
+// formatter keeps their output uniform and machine-parsable.  The value
+// formatters below are shared with the CLI and the observability exports,
+// which all escape JSON strings through json_escaped.
 #pragma once
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace seda {
@@ -39,5 +42,9 @@ private:
 
 /// Formats a byte count with an IEC suffix (KiB/MiB/GiB) for readability.
 [[nodiscard]] std::string fmt_bytes(unsigned long long bytes);
+
+/// JSON string body (no surrounding quotes): escapes quotes, backslash and
+/// every control character, so the output parses whatever `s` holds.
+[[nodiscard]] std::string json_escaped(std::string_view s);
 
 }  // namespace seda

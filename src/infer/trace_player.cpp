@@ -4,8 +4,8 @@
 
 #include "common/bitutil.h"
 #include "common/error.h"
-#include "obs/flight.h"
 #include "obs/stage.h"
+#include "obs/trace.h"
 
 namespace seda::infer {
 

@@ -44,26 +44,6 @@ std::string escaped(std::string_view s)
     return out;
 }
 
-/// JSON string escaping: quotes, backslash, and all control characters
-/// (the metrics JSON must stay parseable whatever a label value holds).
-std::string json_escaped(std::string_view s)
-{
-    std::string out;
-    for (const char c : s) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", c);
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
-
 /// `{tenant="3"}` (or "" for unlabeled rows): the Prometheus label block
 /// appended to a sample name, and the suffix the stage table displays.
 template <typename Row>

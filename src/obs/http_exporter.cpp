@@ -17,9 +17,9 @@
 
 #include "common/error.h"
 #include "obs/export.h"
-#include "obs/flight.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace seda::obs {
 

@@ -13,7 +13,7 @@
 //   /metrics.json  JSON snapshot (obs::write_json)
 //   /healthz       serve lifecycle state (obs/health.h): 200 while
 //                  serving/draining, 503 while idle/stopped
-//   /flight        non-consuming flight-recorder dump (obs/flight.h)
+//   /flight        non-consuming flight-recorder dump (obs/trace.h)
 //   /              plain-text index of the above
 //
 // Determinism contract: everything served here is timing-bound telemetry

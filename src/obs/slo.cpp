@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/error.h"
+#include "common/table.h"
 
 namespace seda::obs {
 
@@ -32,17 +33,6 @@ std::string fmt6(double v)
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.6g", v);
     return buf;
-}
-
-std::string json_str(std::string_view s)
-{
-    std::string out = "\"";
-    for (const char c : s) {
-        if (c == '"' || c == '\\') out += '\\';
-        out += c;
-    }
-    out += '"';
-    return out;
 }
 
 }  // namespace
@@ -146,9 +136,9 @@ void Slo_tracker::write_json(std::ostream& os) const
     os << "{\n  \"slow_windows\": " << slow_windows_ << ",\n  \"slos\": [";
     for (std::size_t i = 0; i < results_.size(); ++i) {
         const Slo_result& r = results_[i];
-        os << (i ? "," : "") << "\n    {\"slo\": " << json_str(r.spec.text)
-           << ", \"family\": " << json_str(r.spec.family)
-           << ", \"percentile\": " << fmt6(r.spec.percentile)
+        os << (i ? "," : "") << "\n    {\"slo\": \"" << json_escaped(r.spec.text)
+           << "\", \"family\": \"" << json_escaped(r.spec.family)
+           << "\", \"percentile\": " << fmt6(r.spec.percentile)
            << ", \"threshold_us\": " << fmt6(r.spec.threshold)
            << ", \"target\": " << fmt6(r.spec.target) << ",\n     \"windows\": "
            << r.windows << ", \"violations\": " << r.violations

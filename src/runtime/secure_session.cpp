@@ -1,6 +1,6 @@
 #include "runtime/secure_session.h"
 
-#include "obs/flight.h"
+#include "obs/trace.h"
 
 namespace seda::runtime {
 

@@ -81,7 +81,7 @@ public:
     [[nodiscard]] std::size_t workers() const { return pool_->size(); }
 
     /// Tags this session's flight-recorder flush events with a tenant id
-    /// (obs/flight.h; default: untagged).  The serving layer sets it so the
+    /// (obs/trace.h; default: untagged).  The serving layer sets it so the
     /// forensic record attributes bus activity per tenant.
     void set_flight_tenant(u32 tenant) { flight_tenant_ = tenant; }
 

@@ -66,7 +66,6 @@
 #include "infer/unit_sink.h"
 #include "models/zoo.h"
 #include "obs/export.h"
-#include "obs/flight.h"
 #include "obs/health.h"
 #include "obs/histogram.h"
 #include "obs/http_exporter.h"

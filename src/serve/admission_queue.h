@@ -4,8 +4,7 @@
 // queue carries typed Requests and is *bounded*: when `capacity` requests
 // are in flight, push() blocks the producer -- that is the backpressure
 // that keeps a closed-loop client fleet from ballooning memory when the
-// crypto pipeline is the bottleneck.  try_push() is the non-blocking probe
-// for callers that would rather shed load.
+// crypto pipeline is the bottleneck.
 //
 // pop_batch() is the consumer side of batching: it blocks for the FIRST
 // request, then drains up to `max` in one critical section, so a busy
@@ -52,19 +51,6 @@ public:
         if (closed_) return false;
         q_.push_back(std::move(r));
         lock.unlock();
-        ready_.notify_one();
-        return true;
-    }
-
-    /// Non-blocking push; returns false (leaving `r` intact) when the
-    /// queue is full or closed.
-    [[nodiscard]] bool try_push(Request& r)
-    {
-        {
-            std::lock_guard lock(mutex_);
-            if (closed_ || q_.size() >= capacity_) return false;
-            q_.push_back(std::move(r));
-        }
         ready_.notify_one();
         return true;
     }

@@ -8,9 +8,9 @@
 
 #include "common/bitutil.h"
 #include "common/error.h"
-#include "obs/flight.h"
 #include "obs/request_trace.h"
 #include "obs/stage.h"
+#include "obs/trace.h"
 
 namespace seda::serve {
 

@@ -6,10 +6,10 @@
 #include <string>
 
 #include "common/error.h"
-#include "obs/flight.h"
 #include "obs/health.h"
 #include "obs/request_trace.h"
 #include "obs/stage.h"
+#include "obs/trace.h"
 
 namespace seda::serve {
 

@@ -1,7 +1,8 @@
 // Exposition hardening: Prometheus label-value escaping, JSON string
-// escaping, and registration-time rejection of malformed metric names and
-// label keys (hostile label VALUES are legal and must round-trip escaped;
-// names and keys are identifiers and must not).
+// escaping (metrics snapshot and --slo-out report), and registration-time
+// rejection of malformed metric names and label keys (hostile label VALUES
+// are legal and must round-trip escaped; names and keys are identifiers
+// and must not).
 //
 // Metric names are unique to this file: the registry is process-wide.
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "common/error.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "obs/slo.h"
 
 namespace seda::obs {
 namespace {
@@ -51,6 +53,22 @@ TEST(ObsExportEscape, JsonLabelValuesEscapeQuotesAndControlChars)
     const std::string out = os.str();
     EXPECT_NE(out.find("\"tenant\": \"a\\\\b\\\"c\\u000ad\""), std::string::npos)
         << out;
+}
+
+TEST(ObsExportEscape, SloReportEscapesControlCharsInSpec)
+{
+    // The spec text is operator input echoed verbatim into --slo-out; a tab
+    // in it must come out as \u0009, never as a raw byte that breaks the JSON.
+    const Slo_tracker tracker({parse_slo("serve_tenant\tlatency_us:p99<10s:0.5")});
+    std::ostringstream os;
+    tracker.write_json(os);
+    const std::string out = os.str();
+    EXPECT_NE(out.find("\"slo\": \"serve_tenant\\u0009latency_us:p99<10s:0.5\""),
+              std::string::npos)
+        << out;
+    EXPECT_NE(out.find("\"family\": \"serve_tenant\\u0009latency_us\""), std::string::npos)
+        << out;
+    EXPECT_EQ(out.find('\t'), std::string::npos) << out;
 }
 
 TEST(ObsExportEscape, RegistrationRejectsMalformedNamesAndKeys)

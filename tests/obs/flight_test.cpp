@@ -1,5 +1,7 @@
 // Flight_recorder: ring-wrap accounting, deterministic non-consuming
-// dumps, detection counting, and the armed auto-dump-on-detection path.
+// dumps, detection counting, and the armed auto-dump-on-detection path;
+// plus the per-thread log it shares with Trace_recorder: one number per
+// thread in both outputs, independent retention, and concurrent drains.
 //
 // The recorder is process-wide (like the registry), so every test calls
 // reset() first and the assertions only touch what the test itself
@@ -12,10 +14,11 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/verify_status.h"
-#include "obs/flight.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace seda::obs {
 namespace {
@@ -47,6 +50,22 @@ std::string dump_to_string()
     std::ostringstream os;
     Flight_recorder::dump(os);
     return os.str();
+}
+
+/// The chrome `tid` of the span named `name` in a rendered trace.
+u64 trace_tid(const std::string& trace, const std::string& name)
+{
+    const auto pos = trace.find("{\"name\": \"" + name + "\"");
+    EXPECT_NE(pos, std::string::npos) << name << " missing from trace";
+    return pos == std::string::npos ? 0 : json_field(trace.substr(pos), "tid");
+}
+
+/// The `thread` of the flight event at `addr` in a dump.
+u64 flight_thread(const std::string& dump, u64 addr)
+{
+    const auto pos = dump.find("\"addr\": " + std::to_string(addr) + ",");
+    EXPECT_NE(pos, std::string::npos) << "addr " << addr << " missing from dump";
+    return pos == std::string::npos ? 0 : json_field(dump.substr(dump.rfind("{", pos)), "thread");
 }
 
 TEST(ObsFlightRecorder, RecordsAndDumpsWithTenantAttribution)
@@ -172,6 +191,108 @@ TEST(ObsFlightRecorder, EmptyDumpIsWellFormed)
     EXPECT_EQ(json_field(dump, "events"), 0u);
     EXPECT_EQ(count_occurrences(dump, "\"kind\""), 0u);
     EXPECT_NE(dump.find("\"flight\": []"), std::string::npos);
+}
+
+TEST(ObsThreadLog, ThreadHasOneNumberInTraceAndFlight)
+{
+    SKIP_UNLESS_OBS_LIVE();
+    Flight_recorder::reset();
+    Trace_recorder::start();
+    // Fresh threads, numbered by their first event of either kind; the
+    // flight-only thread takes a number no trace span shows.
+    const auto run = [](void (*body)()) { std::thread(body).join(); };
+    run([] { Flight_recorder::record(Flight_kind::window, k_flight_no_tenant, 0x900, 1, 0); });
+    run([] {
+        Trace_recorder::emit(Stage::client, "span_first", now_ticks(), now_ticks());
+        Flight_recorder::record(Flight_kind::window, k_flight_no_tenant, 0xA00, 1, 0);
+    });
+    run([] {
+        Flight_recorder::record(Flight_kind::window, k_flight_no_tenant, 0xB00, 1, 0);
+        Trace_recorder::emit(Stage::client, "flight_first", now_ticks(), now_ticks());
+    });
+    std::ostringstream os;
+    Trace_recorder::write_json(os);
+
+    const std::string trace = os.str();
+    const std::string dump = dump_to_string();
+    const u64 a = trace_tid(trace, "loadgen.client:span_first");
+    const u64 b = trace_tid(trace, "loadgen.client:flight_first");
+    EXPECT_GT(a, 0u);
+    EXPECT_NE(a, b);
+    EXPECT_EQ(flight_thread(dump, 0xA00), a);
+    EXPECT_EQ(flight_thread(dump, 0xB00), b);
+}
+
+TEST(ObsThreadLog, TraceDrainLeavesFlightDumpByteIdentical)
+{
+    SKIP_UNLESS_OBS_LIVE();
+    Flight_recorder::reset();
+    Trace_recorder::start();
+    for (u64 i = 0; i < 8; ++i) {
+        Trace_recorder::emit(Stage::flush_write, {}, now_ticks(), now_ticks());
+        Flight_recorder::record(Flight_kind::flush_write, 1, i * 64, 1, 64);
+    }
+    const std::string before = dump_to_string();
+    std::ostringstream trace;
+    Trace_recorder::write_json(trace);
+
+    EXPECT_NE(trace.str().find("serve.flush_write"), std::string::npos);
+    EXPECT_EQ(json_field(before, "events"), 8u);
+    EXPECT_EQ(dump_to_string(), before);
+}
+
+TEST(ObsThreadLog, TraceOverflowCountsDropsWithoutEvictingFlightEvents)
+{
+    SKIP_UNLESS_OBS_LIVE();
+    Flight_recorder::reset();
+    const u64 dropped_before = Trace_recorder::dropped();
+    Trace_recorder::start();
+    std::thread fresh([] {  // a fresh thread starts with an empty capture
+        Flight_recorder::record(Flight_kind::flush_read, 2, 0x100, 1, 64);
+        for (u64 i = 0; i < Trace_recorder::k_max_events_per_thread + 5; ++i)
+            Trace_recorder::emit(Stage::verify, {}, i, i);
+        Flight_recorder::record(Flight_kind::flush_read, 2, 0x140, 1, 64);
+    });
+    fresh.join();
+    EXPECT_EQ(Trace_recorder::dropped() - dropped_before, 5u);
+    std::ostream discard(nullptr);
+    Trace_recorder::write_json(discard);
+
+    const std::string dump = dump_to_string();
+    EXPECT_EQ(json_field(dump, "events"), 2u);
+    EXPECT_EQ(json_field(dump, "overwritten"), 0u);
+    EXPECT_EQ(flight_thread(dump, 0x100), flight_thread(dump, 0x140));
+}
+
+TEST(ObsThreadLog, AppendsRaceDumpsAndDrains)
+{
+    SKIP_UNLESS_OBS_LIVE();
+    Flight_recorder::reset();
+    constexpr u32 k_writers = 3;
+    constexpr u64 k_events = 2000;
+    Trace_recorder::start();
+    std::vector<std::thread> writers;
+    for (u32 w = 0; w < k_writers; ++w)
+        writers.emplace_back([w] {
+            for (u64 i = 0; i < k_events; ++i) {
+                const u64 t = now_ticks();
+                Trace_recorder::emit(Stage::flush_read, "race", t, t);
+                Trace_recorder::emit_flow('s', i, t);
+                Flight_recorder::record(Flight_kind::flush_read, w, i, 1, 64);
+            }
+        });
+    std::ostream discard(nullptr);
+    for (int round = 0; round < 20; ++round) {
+        Flight_recorder::dump(discard);
+        Trace_recorder::write_json(discard);
+        Trace_recorder::start();
+    }
+    for (auto& t : writers) t.join();
+    Trace_recorder::write_json(discard);
+
+    const std::string dump = dump_to_string();
+    EXPECT_EQ(json_field(dump, "events") + json_field(dump, "overwritten"),
+              k_writers * k_events);
 }
 
 }  // namespace

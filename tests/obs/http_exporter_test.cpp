@@ -17,10 +17,10 @@
 
 #include "common/error.h"
 #include "obs/export.h"
-#include "obs/flight.h"
 #include "obs/health.h"
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "serve/loadgen.h"
 #include "serve/server.h"
 

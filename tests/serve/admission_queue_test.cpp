@@ -22,22 +22,6 @@ Request make_request(u64 seq)
     return r;
 }
 
-TEST(AdmissionQueue, CapacityIsEnforcedAndTryPushSheds)
-{
-    Admission_queue q(2);
-    Request a = make_request(1), b = make_request(2), c = make_request(3);
-    EXPECT_TRUE(q.try_push(a));
-    EXPECT_TRUE(q.try_push(b));
-    EXPECT_FALSE(q.try_push(c));  // full: rejected, c intact
-    EXPECT_EQ(c.seq, 3u);
-    EXPECT_EQ(q.size(), 2u);
-
-    std::vector<Request> out;
-    EXPECT_EQ(q.pop_batch(out, 1), 1u);
-    EXPECT_TRUE(q.try_push(c));  // space freed
-    EXPECT_EQ(q.size(), 2u);
-}
-
 TEST(AdmissionQueue, PopBatchIsFifoAndBounded)
 {
     Admission_queue q(8);
@@ -82,7 +66,6 @@ TEST(AdmissionQueue, CloseDrainsAcceptedThenSignalsShutdown)
     q.close();
     Request late = make_request(99);
     EXPECT_FALSE(q.push(late));
-    EXPECT_FALSE(q.try_push(late));
     EXPECT_EQ(late.seq, 99u);  // rejected pushes leave the request intact
 
     std::vector<Request> out;

@@ -106,24 +106,9 @@ std::string json_double(double v)
     return buf;
 }
 
-/// Minimal JSON string escaping: today's npu/scheme/model names are
-/// identifier-like, but nothing in their contracts forbids a quote.
-std::string json_string(std::string_view s)
-{
-    std::string out = "\"";
-    for (const char c : s) {
-        if (c == '"' || c == '\\') out += '\\';
-        if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", c);
-            out += buf;
-            continue;
-        }
-        out += c;
-    }
-    out += '"';
-    return out;
-}
+/// Quoted JSON string: today's npu/scheme/model names are identifier-like,
+/// but nothing in their contracts forbids a quote.
+std::string json_string(std::string_view s) { return '"' + json_escaped(s) + '"'; }
 
 std::string hex64(u64 v)
 {
