@@ -1,5 +1,9 @@
 #include "infer/inference_engine.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstring>
+
 #include "common/error.h"
 #include "common/rng.h"
 #include "obs/stage.h"
@@ -7,7 +11,7 @@
 namespace seda::infer {
 
 Inference_engine::Inference_engine(const Model_binding& binding, Engine_config cfg)
-    : binding_(binding), cfg_(cfg), player_(binding, cfg.max_batch_units)
+    : binding_(binding), cfg_(cfg), player_(binding, cfg.max_batch_units), mirror_(binding)
 {
     const auto& layers = binding_.sim().layers;
     stats_.layers.resize(layers.size());
@@ -18,12 +22,14 @@ Inference_engine::Inference_engine(const Model_binding& binding, Engine_config c
 void Inference_engine::fill_payload(Addr addr, std::span<u8> out) const
 {
     // Deterministic per (seed, epoch, unit): collision-free enough for the
-    // mirror check, reproducible at any worker count or replay path.
+    // mirror check, reproducible at any worker count or replay path.  Each
+    // splitmix64 word lands least-significant byte first.
+    static_assert(std::endian::native == std::endian::little,
+                  "fill_payload stores splitmix64 words little-endian");
     u64 state = cfg_.seed ^ (epoch_ * 0x9E3779B97F4A7C15ULL) ^ addr;
-    u64 word = 0;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        if (i % 8 == 0) word = splitmix64(state);
-        out[i] = static_cast<u8>(word >> ((i % 8) * 8));
+    for (std::size_t i = 0; i < out.size(); i += sizeof(u64)) {
+        const u64 word = splitmix64(state);
+        std::memcpy(out.data() + i, &word, std::min(sizeof(u64), out.size() - i));
     }
 }
 

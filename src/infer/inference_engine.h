@@ -20,7 +20,10 @@
 // Every payload written is a deterministic function of (seed, epoch,
 // address), and the engine mirrors its own writes, so each ok read is also
 // checked byte-for-byte against what the protected path must return --
-// the same end-to-end discipline as serve's closed-loop loadgen.
+// the same end-to-end discipline as serve's closed-loop loadgen.  The
+// mirror is flat storage over the binding's slot table (one 64 B value,
+// its cached fnv1a64 and a written flag per touched unit, ~73 B), sized
+// when the engine is built, so it scales with the units the traces touch.
 //
 // One engine is one logical tenant and is single-threaded; concurrency
 // comes from running engines for different tenants on different threads

@@ -18,6 +18,18 @@
 //   activation unit k, region r -> layer_id = 0x8000'0000|r, fmap_idx = 1
 //   blk_idx = k (the unit's index within its region) in both cases.
 //
+// Slot table.  The traces are fixed once the model is bound, so the
+// binding lays out, once, a sorted table of every unit any trace range
+// touches (reads and writes).  A unit's index in that table is its SLOT:
+// per-tenant state about units (the engine's write mirror) is flat storage
+// indexed by slot, so it scales with the units the traces touch, not with
+// the address extent -- DLRM's tables span 5.28 M units of which its
+// traces touch 100 k.  Because every unit of a trace range is in the
+// table, a range is a run of consecutive slots, and within one context
+// region (one layer's weights, one activation region) its contexts share
+// layer_id/fmap_idx and count blk_idx up by one: the replay resolves one
+// Unit_run per range instead of one context per unit.
+//
 // The binding also precomputes the three touched-unit working sets the
 // engine's lifecycle needs -- DLRM-class models make this mandatory: their
 // embedding tables span hundreds of MB of which a trace gathers only a few
@@ -54,12 +66,45 @@ public:
         u32 blk_idx = 0;
     };
 
+    /// Consecutive units in one context region: unit k sits at
+    /// `addr + k * k_unit_bytes`, in slot `first_slot + k`, and binds `ctx`
+    /// with `blk_idx + k`.
+    struct Unit_run {
+        Addr addr = 0;
+        u32 first_slot = 0;
+        u32 units = 0;
+        Unit_context ctx;
+    };
+
     /// Which region a unit-aligned address lives in; throws Seda_error for
     /// an address outside every bound region (a trace/layout bug).
     [[nodiscard]] Region classify(Addr unit_addr) const;
 
-    /// The address-derived context (see the binding convention above).
-    [[nodiscard]] Unit_context context(Addr unit_addr) const;
+    /// Calls fn(run) for the runs covering units [first, end) in address
+    /// order -- one run per range unless it crosses a weight-layer border.
+    /// Throws Seda_error for a unit outside every region or outside the
+    /// slot table.
+    template <typename Fn>
+    void for_each_run(Addr first, Addr end, Fn&& fn) const
+    {
+        for (Addr a = first; a < end;) {
+            const Unit_run run = run_at(a, end);
+            fn(run);
+            a += run.units * k_unit_bytes;
+        }
+    }
+
+    /// The address-derived context (see the binding convention above): the
+    /// first unit's context of the run at `unit_addr`.  Throws Seda_error
+    /// like for_each_run.
+    [[nodiscard]] Unit_context context(Addr unit_addr) const
+    {
+        return run_at(unit_addr, unit_addr + k_unit_bytes).ctx;
+    }
+
+    /// The slot table: sorted, unique units any trace range touches.  Slot
+    /// s holds unit `units()[s]`.
+    [[nodiscard]] std::span<const Addr> units() const { return units_; }
 
     /// Sorted, unique weight-region units any layer trace reads: the
     /// model-load working set ("weights written once at model load").
@@ -82,10 +127,14 @@ public:
     [[nodiscard]] std::span<const Addr> input_units() const { return input_units_; }
 
 private:
+    /// The longest run that starts at `unit_addr`, stays in its context
+    /// region and ends at or before the unit-aligned `end`.
+    [[nodiscard]] Unit_run run_at(Addr unit_addr, Addr end) const;
     void index();
 
     accel::Model_sim sim_;
     Addr weight_region_end_ = 0;        ///< block-aligned end of the last weight region
+    std::vector<Addr> units_;           ///< the slot table
     std::vector<Addr> weight_load_units_;
     std::vector<Addr> act_prefill_units_;
     std::vector<Addr> input_units_;

@@ -36,6 +36,9 @@ Server::Server(std::span<const u8> master_enc, std::span<const u8> master_mac,
       scheduler_(tenants_)
 {
     require(cfg_.tenants >= 1, "serve: need at least one tenant");
+    // The scheduler thread would throw on a zero cap at start(), out of a
+    // std::thread, which terminates the process.
+    require(cfg_.max_batch >= 1, "serve: max_batch must be >= 1");
     for (std::size_t i = 0; i < cfg_.tenants; ++i) add_tenant();
 }
 

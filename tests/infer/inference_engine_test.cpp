@@ -163,7 +163,7 @@ TEST(InferEngine, RolledBackInputUnitIsCaughtAsReplay)
     probe.trace = {read};
 
     Trace_player player(binding);
-    Trace_player::Mirror mirror;
+    Trace_player::Mirror mirror(binding);
     Layer_infer_stats stats;
     player.play_layer(probe, sink, mirror,
                       [](Addr, std::span<u8>) {}, stats);
@@ -225,6 +225,38 @@ TEST(InferRun, ServePathMatchesSessionPathExactly)
     EXPECT_EQ(direct.merged, served.merged);
     for (std::size_t t = 0; t < direct.per_tenant.size(); ++t)
         EXPECT_EQ(direct.per_tenant[t], served.per_tenant[t]) << "tenant " << t;
+}
+
+TEST(InferRun, TotalsMatchThePinnedReplay)
+{
+    // Merged totals of 2 tenants x 1 inference at the default seed on the
+    // server NPU -- the totals `seda_cli infer --json` prints.  A change to
+    // the replay, the payload stream or the mirror check that moves any of
+    // them changes that output.
+    const struct {
+        const char* model;
+        u64 reads, writes, ok, bytes, payload_fold;
+    } cases[] = {
+        {"lenet", 2'216, 292, 2'508, 160'512, 0x7a3795720e0bb61cULL},
+        {"resnet18", 465'496, 88'854, 554'350, 35'478'400, 0x2c90444c1043f1d0ULL},
+    };
+    for (const auto& c : cases) {
+        SCOPED_TRACE(c.model);
+        Infer_config cfg;
+        cfg.tenants = 2;
+        cfg.inferences = 1;
+        cfg.path = Replay_path::session;
+        const auto r = run_infer(models::model_by_name(c.model), accel::Npu_config::server(),
+                                 cfg);
+        const Unit_counters t = r.merged.totals();
+        EXPECT_EQ(t.reads, c.reads);
+        EXPECT_EQ(t.writes, c.writes);
+        EXPECT_EQ(t.ok, c.ok);
+        EXPECT_EQ(t.bytes, c.bytes);
+        EXPECT_EQ(t.payload_fold, c.payload_fold);
+        EXPECT_EQ(r.verification_failures, 0u);
+        EXPECT_EQ(r.data_mismatches, 0u);
+    }
 }
 
 TEST(InferRun, TenantsHaveIndependentDeterministicStreams)

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "infer/model_binding.h"
@@ -98,6 +100,9 @@ TEST(InferModelBinding, OutOfRegionAndMisalignedAddressesThrow)
     const auto& b = lenet_binding();
     EXPECT_THROW((void)b.classify(0x7000'0000ULL), Seda_error);  // between regions
     EXPECT_THROW((void)b.classify(accel::Memory_map::k_act_base[0] + 1), Seda_error);
+    // Inside a bound region but touched by no trace: no slot, no context.
+    EXPECT_THROW((void)b.context(accel::Memory_map::k_act_base[0] + 100'000 * k_unit),
+                 Seda_error);
 }
 
 TEST(InferModelBinding, GatherModelLoadsOnlyTouchedWeightUnits)
@@ -133,6 +138,94 @@ TEST(InferModelBinding, EveryTraceReadIsCoveredByTheWorkingSets)
             }
         }
     }
+}
+
+TEST(InferModelBinding, SlotTableIsExactlyTheTouchedUnits)
+{
+    // Every unit a trace range covers, reads and writes, and nothing else:
+    // the table scales with touched units, not with the address extent
+    // (DLRM's tables span 5.28 M units).  Each range resolves to runs that
+    // tile it in order, and each unit's slot holds its own address.
+    const struct {
+        const char* model;
+        std::size_t units;
+    } cases[] = {{"lenet", 1'056}, {"resnet18", 198'391}, {"dlrm", 100'198}};
+    for (const auto& c : cases) {
+        SCOPED_TRACE(c.model);
+        const Model_binding b(models::model_by_name(c.model), accel::Npu_config::server());
+        std::vector<Addr> touched;
+        for (const auto& layer : b.sim().layers)
+            for (const auto& r : layer.trace)
+                accel::for_each_block(r, [&](Addr a) { touched.push_back(a); });
+        std::sort(touched.begin(), touched.end());
+        touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+        const auto units = b.units();
+        EXPECT_TRUE(std::equal(units.begin(), units.end(), touched.begin(), touched.end()));
+        EXPECT_EQ(units.size(), c.units);
+
+        u64 misplaced = 0;
+        for (const auto& layer : b.sim().layers)
+            for (const auto& r : layer.trace) {
+                Addr next = r.first_block();
+                b.for_each_run(next, r.end_block(), [&](const Model_binding::Unit_run& run) {
+                    misplaced += run.addr != next;
+                    for (u32 k = 0; k < run.units; ++k)
+                        misplaced += units[run.first_slot + k] != run.addr + k * k_unit;
+                    next = run.addr + run.units * k_unit;
+                });
+                misplaced += next != r.end_block();
+            }
+        EXPECT_EQ(misplaced, 0u);
+    }
+}
+
+TEST(InferModelBinding, RunsSplitWhereARangeCrossesAWeightLayerBorder)
+{
+    // A weight range over the last two units of one layer and the first two
+    // of the next: two runs, the second restarting blk_idx at its layer.
+    // Layers without weights own no region, so the pair is the first two
+    // adjacent weight owners of at least two units each.
+    accel::Model_sim sim = lenet_binding().sim();
+    const auto& layers = sim.model->layers;
+    std::vector<u32> owners;
+    for (u32 i = 0; i < layers.size(); ++i)
+        if (layers[i].weight_bytes() > 0) owners.push_back(i);
+    u32 before = 0;
+    u32 after = 0;
+    for (std::size_t i = 0; i + 1 < owners.size() && after == 0; ++i)
+        if (layers[owners[i]].weight_bytes() > k_unit &&
+            layers[owners[i + 1]].weight_bytes() > k_unit) {
+            before = owners[i];
+            after = owners[i + 1];
+        }
+    ASSERT_NE(after, 0u);
+    const Addr border = sim.map.weight_addr[after];
+    accel::Access_range r;
+    r.begin = border - 2 * k_unit;
+    r.length = 4 * k_unit;
+    r.tensor = accel::Tensor_kind::weight;
+    sim.layers.front().trace.push_back(r);
+    const Model_binding b(std::move(sim));
+
+    std::vector<Model_binding::Unit_run> runs;
+    b.for_each_run(r.first_block(), r.end_block(),
+                   [&](const Model_binding::Unit_run& run) { runs.push_back(run); });
+    ASSERT_EQ(runs.size(), 2u);
+    EXPECT_EQ(runs[0].units, 2u);
+    EXPECT_EQ(runs[0].ctx.layer_id, before);
+    EXPECT_EQ(runs[1].addr, border);
+    EXPECT_EQ(runs[1].units, 2u);
+    EXPECT_EQ(runs[1].first_slot, runs[0].first_slot + 2);
+    EXPECT_EQ(runs[1].ctx.layer_id, after);
+    EXPECT_EQ(runs[1].ctx.blk_idx, 0u);
+    // Counting blk_idx up through a run agrees with each unit's own context.
+    for (const auto& run : runs)
+        for (u32 k = 0; k < run.units; ++k) {
+            const auto ctx = b.context(run.addr + k * k_unit);
+            EXPECT_EQ(ctx.layer_id, run.ctx.layer_id);
+            EXPECT_EQ(ctx.fmap_idx, 0u);
+            EXPECT_EQ(ctx.blk_idx, run.ctx.blk_idx + k);
+        }
 }
 
 }  // namespace

@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/bitutil.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "infer/inference_engine.h"
@@ -153,7 +155,7 @@ TEST(InferTracePlayer, BatchesSplitAtDirectionFlipsOnly)
 
     Trace_player player(test_binding());
     Recording_sink sink;
-    Trace_player::Mirror mirror;
+    Trace_player::Mirror mirror(test_binding());
     Layer_infer_stats stats;
     player.play_layer(layer, sink, mirror, seeded_payloads(), stats);
 
@@ -188,7 +190,7 @@ TEST(InferTracePlayer, DispatchCapSplitsLongRangesWithoutReordering)
 
     Trace_player player(test_binding(), /*max_batch_units=*/4);
     Recording_sink sink;
-    Trace_player::Mirror mirror;
+    Trace_player::Mirror mirror(test_binding());
     Layer_infer_stats stats;
     player.play_layer(layer, sink, mirror, seeded_payloads(), stats);
 
@@ -217,7 +219,7 @@ TEST(InferTracePlayer, InBatchDuplicateWritesFollowSupersedeOrder)
 
     Trace_player player(test_binding());
     Recording_sink sink;
-    Trace_player::Mirror mirror;
+    Trace_player::Mirror mirror(test_binding());
     Layer_infer_stats stats;
     u64 counter = 0;
     // Payloads differ per CALL, so the superseding write really differs.
@@ -234,11 +236,23 @@ TEST(InferTracePlayer, InBatchDuplicateWritesFollowSupersedeOrder)
     EXPECT_EQ(stats.total().failures(), 0u);
 }
 
+/// lenet's layout plus one read of act0 units 0-19, so every unit the
+/// staging test writes has a slot (lenet's own traces stop at unit 18).
+const Model_binding& staging_binding()
+{
+    static const Model_binding binding([] {
+        accel::Model_sim sim = test_binding().sim();
+        sim.layers.front().trace.push_back(make_range(k_act0, 20 * k_unit, false));
+        return sim;
+    }());
+    return binding;
+}
+
 TEST(InferTracePlayer, StageUnitsWritesEveryAddressInOrder)
 {
-    Trace_player player(test_binding(), /*max_batch_units=*/8);
+    Trace_player player(staging_binding(), /*max_batch_units=*/8);
     Recording_sink sink;
-    Trace_player::Mirror mirror;
+    Trace_player::Mirror mirror(staging_binding());
     Unit_counters counters;
     std::vector<Addr> addrs;
     for (Addr a = 0; a < 20; ++a) addrs.push_back(k_act0 + a * k_unit);
@@ -253,7 +267,76 @@ TEST(InferTracePlayer, StageUnitsWritesEveryAddressInOrder)
     EXPECT_EQ(seen, addrs);
     EXPECT_EQ(counters.writes, 20u);
     EXPECT_EQ(counters.bytes, 20u * k_unit);
-    EXPECT_EQ(mirror.size(), 20u);
+    EXPECT_EQ(mirror.written(), 20u);
+}
+
+/// Serial store whose reads lie while still reporting ok: `flipped` comes
+/// back with one byte changed, and a unit nobody wrote through it comes
+/// back as a fixed pattern.  Records every returned unit.
+class Lying_sink final : public Unit_sink {
+public:
+    explicit Lying_sink(Addr flipped) : flipped_(flipped) {}
+
+    void write_units(std::span<const core::Secure_memory::Unit_write> batch) override
+    {
+        for (const auto& w : batch) store_[w.addr].assign(w.plaintext.begin(), w.plaintext.end());
+    }
+
+    void read_units(std::span<const core::Secure_memory::Unit_read> batch,
+                    std::span<core::Verify_status> statuses) override
+    {
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            const auto& r = batch[i];
+            const auto it = store_.find(r.addr);
+            if (it != store_.end())
+                std::copy(it->second.begin(), it->second.end(), r.out.begin());
+            else
+                std::fill(r.out.begin(), r.out.end(), u8{0xA5});
+            if (r.addr == flipped_) r.out[5] ^= 0x10;
+            statuses[i] = core::Verify_status::ok;
+            returned.push_back({r.addr, std::vector<u8>(r.out.begin(), r.out.end())});
+        }
+    }
+
+    std::vector<std::pair<Addr, std::vector<u8>>> returned;
+
+private:
+    Addr flipped_;
+    std::unordered_map<Addr, std::vector<u8>> store_;
+};
+
+TEST(InferTracePlayer, OkReadsThatDisagreeWithTheMirrorAreDataMismatches)
+{
+    // Four ofmap units written then read back as ifmap, one of them with a
+    // flipped byte, plus a weight unit this player never wrote.
+    const Addr flipped = k_act0 + 2 * k_unit;
+    const Addr never_written = test_binding().weight_load_units().front();
+    accel::Layer_sim layer;
+    layer.trace = {make_range(k_act0, 4 * 64, true, Tensor_kind::ofmap),
+                   make_range(k_act0, 4 * 64, false),
+                   make_range(never_written, 64, false, Tensor_kind::weight)};
+
+    Trace_player player(test_binding());
+    Lying_sink sink(flipped);
+    Trace_player::Mirror mirror(test_binding());
+    Layer_infer_stats stats;
+    player.play_layer(layer, sink, mirror, seeded_payloads(), stats);
+
+    EXPECT_EQ(stats.ifmap.ok, 4u);
+    EXPECT_EQ(stats.ifmap.data_mismatches, 1u);
+    EXPECT_EQ(stats.weight.ok, 1u);
+    EXPECT_EQ(stats.weight.data_mismatches, 1u);
+    EXPECT_EQ(stats.ofmap.data_mismatches, 0u);
+    EXPECT_EQ(stats.total().failures(), 0u);
+
+    // The folds hash what the reads returned, not what the mirror holds.
+    u64 ifmap_fold = 0;
+    u64 weight_fold = 0;
+    ASSERT_EQ(sink.returned.size(), 5u);
+    for (const auto& [addr, bytes] : sink.returned)
+        (addr == never_written ? weight_fold : ifmap_fold) ^= fnv1a64(bytes.data(), bytes.size());
+    EXPECT_EQ(stats.ifmap.payload_fold, ifmap_fold);
+    EXPECT_EQ(stats.weight.payload_fold, weight_fold);
 }
 
 }  // namespace

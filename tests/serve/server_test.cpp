@@ -92,6 +92,12 @@ TEST(ServeServer, MalformedRequestsAreRejectedAtSubmit)
               Verify_status::ok);
 }
 
+TEST(ServeServer, ZeroMaxBatchIsRejectedAtConstruction)
+{
+    EXPECT_THROW(Server(make_key(1), make_key(2), {.tenants = 1, .max_batch = 0}),
+                 Seda_error);
+}
+
 TEST(ServeServer, PoisonReadFailsItsRequestOnlyAndCountsRejected)
 {
     Server server(make_key(1), make_key(2), {.tenants = 1, .workers = 2});
