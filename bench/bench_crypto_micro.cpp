@@ -3,17 +3,14 @@
 // the paper contrasts (standard CTR, shared-OTP, B-AES), plus the SECA
 // attack itself.
 //
-// Backend/bulk coverage: every CTR bench runs once per AES backend and once
-// per gear (blockwise crypt_standard vs crypt_bulk), so the speedup of the
-// batched pipeline is measured, not asserted.  Compare e.g.
-//     bm_ctr_bulk<Aes_backend_kind::ttable>/4096
-//     bm_ctr_standard<Aes_backend_kind::scalar>/4096
-// for the full refactor win, and the same bench across backends for the
-// round-implementation share alone.  The hardware kinds (aesni, shani) are
-// registered at runtime only when this host's CPUID has the features -- a
-// static BENCHMARK() would silently measure the software fallback under a
-// hardware label on older CPUs -- which is why this file has its own main()
-// instead of BENCHMARK_MAIN().
+// Backend coverage: every AES bench runs once per AES backend and every
+// SHA/HMAC bench once per SHA-256 backend, so the round-implementation share
+// is measured, not asserted.  bm_aes128_encrypt_blocks is the bulk cipher
+// call the datapath makes (Baes_engine::otps_many).  The hardware kinds
+// (aesni, shani) are registered at runtime only when this host's CPUID has
+// the features -- a static BENCHMARK() would silently measure the software
+// fallback under a hardware label on older CPUs -- which is why this file
+// has its own main() instead of BENCHMARK_MAIN().
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -141,7 +138,7 @@ void bm_hmac_engine_mac64(benchmark::State& state)
 }
 BENCHMARK(bm_hmac_engine_mac64)->Arg(64)->Arg(512)->Arg(4096);
 
-// --- bulk HMAC: one tile of unit MACs, loop vs digest_many -------------------
+// --- bulk HMAC: one tile of unit MACs, loop vs positional_macs --------------
 //
 // The MAC half of a secure-memory tile transfer: 64 independent 64 B unit
 // MACs under one engine.  The loop gear is what write_units/read_units did
@@ -196,31 +193,12 @@ void bm_hmac_units_bulk(benchmark::State& state)
 BENCHMARK(bm_hmac_units_bulk<Sha256_backend_kind::scalar>);
 BENCHMARK(bm_hmac_units_bulk<Sha256_backend_kind::fast>);
 
-// --- CTR disciplines: blockwise vs bulk, per backend -------------------------
+// --- CTR disciplines, per backend --------------------------------------------
 //
 // One protected unit, three encryption disciplines.  The work per unit is
 // what differs: standard CTR runs one AES invocation per 16 B segment,
 // B-AES runs one AES invocation total plus XORs -- the software analogue of
 // the paper's N-engines-vs-XOR-lanes hardware trade (Fig. 4).
-
-template <Aes_backend_kind K>
-void bm_ctr_keystream(benchmark::State& state)
-{
-    // Pure keystream generation (no XOR, no data movement): the fused
-    // counter path each backend provides.  64 blocks is crypt_bulk's batch;
-    // 256 shows the asymptote once per-call round-key loads amortize away.
-    const Aes aes(make_key(), K);
-    std::vector<Block16> pad(static_cast<std::size_t>(state.range(0)));
-    u64 vn = 0;
-    for (auto _ : state) {
-        aes.ctr_keystream(0x4000, vn, pad);
-        vn += pad.size();
-        benchmark::DoNotOptimize(pad.data());
-    }
-    state.SetBytesProcessed(static_cast<i64>(state.iterations()) * state.range(0) * 16);
-}
-BENCHMARK(bm_ctr_keystream<Aes_backend_kind::scalar>)->Arg(4)->Arg(64)->Arg(256);
-BENCHMARK(bm_ctr_keystream<Aes_backend_kind::ttable>)->Arg(4)->Arg(64)->Arg(256);
 
 template <Aes_backend_kind K>
 void bm_ctr_standard(benchmark::State& state)
@@ -236,21 +214,6 @@ void bm_ctr_standard(benchmark::State& state)
 }
 BENCHMARK(bm_ctr_standard<Aes_backend_kind::scalar>)->Arg(64)->Arg(512)->Arg(4096);
 BENCHMARK(bm_ctr_standard<Aes_backend_kind::ttable>)->Arg(64)->Arg(512)->Arg(4096);
-
-template <Aes_backend_kind K>
-void bm_ctr_bulk(benchmark::State& state)
-{
-    const Aes_ctr ctr(make_key(), K);
-    auto data = make_data(static_cast<std::size_t>(state.range(0)));
-    u64 vn = 0;
-    for (auto _ : state) {
-        ctr.crypt_bulk(data, 0x4000, ++vn);
-        benchmark::DoNotOptimize(data.data());
-    }
-    state.SetBytesProcessed(static_cast<i64>(state.iterations()) * state.range(0));
-}
-BENCHMARK(bm_ctr_bulk<Aes_backend_kind::scalar>)->Arg(64)->Arg(512)->Arg(4096);
-BENCHMARK(bm_ctr_bulk<Aes_backend_kind::ttable>)->Arg(64)->Arg(512)->Arg(4096);
 
 template <Aes_backend_kind K>
 void bm_baes_crypt(benchmark::State& state)
@@ -270,10 +233,9 @@ BENCHMARK(bm_baes_crypt<Aes_backend_kind::ttable>)->Arg(64)->Arg(512);
 void bm_baes_otp_fanout(benchmark::State& state)
 {
     const Baes_engine baes(make_key());
-    std::vector<Block16> pads;  // reused scratch, as in the batch path
     u64 vn = 0;
     for (auto _ : state) {
-        baes.otps_into(0x8000, ++vn, static_cast<std::size_t>(state.range(0)), pads);
+        auto pads = baes.otps(0x8000, ++vn, static_cast<std::size_t>(state.range(0)));
         benchmark::DoNotOptimize(pads.data());
     }
 }
@@ -356,17 +318,8 @@ int main(int argc, char** argv)
         benchmark::RegisterBenchmark("bm_aes128_encrypt_blocks<Aes_backend_kind::aesni>",
                                      bm_aes128_encrypt_blocks<k>)
             ->Arg(32);
-        benchmark::RegisterBenchmark("bm_ctr_keystream<Aes_backend_kind::aesni>",
-                                     bm_ctr_keystream<k>)
-            ->Arg(4)
-            ->Arg(64)
-            ->Arg(256);
         benchmark::RegisterBenchmark("bm_ctr_standard<Aes_backend_kind::aesni>",
                                      bm_ctr_standard<k>)
-            ->Arg(64)
-            ->Arg(512)
-            ->Arg(4096);
-        benchmark::RegisterBenchmark("bm_ctr_bulk<Aes_backend_kind::aesni>", bm_ctr_bulk<k>)
             ->Arg(64)
             ->Arg(512)
             ->Arg(4096);

@@ -39,7 +39,6 @@ Model_image provision_model(const accel::Model_desc& model, std::span<const u8> 
     const accel::Memory_map map(model);
     const crypto::Baes_engine baes(enc_key);
     const crypto::Hmac_engine hmac(mac_key);
-    std::vector<crypto::Block16> pad_scratch;
 
     Model_image image;
     image.ciphertext.assign(weights.begin(), weights.end());
@@ -59,7 +58,7 @@ Model_image provision_model(const accel::Model_desc& model, std::span<const u8> 
             const Bytes n = std::min(k_unit, padded - off);
             const Addr pa = span.base + off;
             std::span<u8> unit(image.ciphertext.data() + cursor + off, n);
-            baes.crypt_with(unit, pa, image.provision_vn, pad_scratch);
+            baes.crypt(unit, pa, image.provision_vn);
             const u64 mac = hmac.positional_mac(
                 unit, weight_context(pa, image.provision_vn, span.layer_id,
                                      static_cast<u32>(off / k_unit)));

@@ -11,31 +11,6 @@ namespace {
 
 constexpr auto k_sbox = make_aes_sbox();
 
-/// InvMixColumns over one 16-byte round key, for the equivalent inverse
-/// cipher schedule the table-driven decrypt path consumes.
-Block16 inv_mix_columns_block(const Block16& in)
-{
-    Block16 out{};
-    for (int c = 0; c < 4; ++c) {
-        const std::size_t o = static_cast<std::size_t>(4 * c);
-        const u8 a0 = in[o], a1 = in[o + 1], a2 = in[o + 2], a3 = in[o + 3];
-        out[o] = static_cast<u8>(gf_mul(a0, 0x0E) ^ gf_mul(a1, 0x0B) ^ gf_mul(a2, 0x0D) ^
-                                 gf_mul(a3, 0x09));
-        out[o + 1] = static_cast<u8>(gf_mul(a0, 0x09) ^ gf_mul(a1, 0x0E) ^
-                                     gf_mul(a2, 0x0B) ^ gf_mul(a3, 0x0D));
-        out[o + 2] = static_cast<u8>(gf_mul(a0, 0x0D) ^ gf_mul(a1, 0x09) ^
-                                     gf_mul(a2, 0x0E) ^ gf_mul(a3, 0x0B));
-        out[o + 3] = static_cast<u8>(gf_mul(a0, 0x0B) ^ gf_mul(a1, 0x0D) ^
-                                     gf_mul(a2, 0x09) ^ gf_mul(a3, 0x0E));
-    }
-    return out;
-}
-
-void append_block_words(std::vector<u32>& words, const Block16& blk)
-{
-    for (int c = 0; c < 4; ++c) words.push_back(load_be32(blk.data() + 4 * c));
-}
-
 }  // namespace
 
 std::vector<Block16> expand_round_keys(std::span<const u8> key)
@@ -99,21 +74,10 @@ Aes::Aes(std::span<const u8> key, Aes_backend_kind kind)
 {
     schedule_.round_keys = expand_round_keys(key);
     schedule_.rounds = static_cast<int>(schedule_.round_keys.size()) - 1;
-    const int rounds = schedule_.rounds;
-    const int total_words = 4 * (rounds + 1);
-
-    // Word forms for the table-driven backend: the forward schedule verbatim,
-    // and the equivalent-inverse schedule (reversed, InvMixColumns applied to
-    // every round key except the outermost two).
-    schedule_.enc_words.reserve(static_cast<std::size_t>(total_words));
-    schedule_.dec_words.reserve(static_cast<std::size_t>(total_words));
-    for (int r = 0; r <= rounds; ++r)
-        append_block_words(schedule_.enc_words, schedule_.round_keys[static_cast<std::size_t>(r)]);
-    for (int r = rounds; r >= 0; --r) {
-        const Block16& rk = schedule_.round_keys[static_cast<std::size_t>(r)];
-        append_block_words(schedule_.dec_words,
-                           (r == 0 || r == rounds) ? rk : inv_mix_columns_block(rk));
-    }
+    // The word form for the table-driven backend: the schedule verbatim.
+    schedule_.enc_words.reserve(4 * schedule_.round_keys.size());
+    for (const Block16& rk : schedule_.round_keys)
+        for (int c = 0; c < 4; ++c) schedule_.enc_words.push_back(load_be32(rk.data() + 4 * c));
 }
 
 Block16 Aes::encrypt_block(const Block16& in) const
@@ -123,26 +87,9 @@ Block16 Aes::encrypt_block(const Block16& in) const
     return s;
 }
 
-Block16 Aes::decrypt_block(const Block16& in) const
-{
-    Block16 s = in;
-    backend_->decrypt_blocks(schedule_, std::span<Block16>(&s, 1));
-    return s;
-}
-
 void Aes::encrypt_blocks(std::span<Block16> blocks) const
 {
     backend_->encrypt_blocks(schedule_, blocks);
-}
-
-void Aes::decrypt_blocks(std::span<Block16> blocks) const
-{
-    backend_->decrypt_blocks(schedule_, blocks);
-}
-
-void Aes::ctr_keystream(Addr pa, u64 vn, std::span<Block16> out) const
-{
-    backend_->ctr_keystream(schedule_, pa, vn, out);
 }
 
 std::string_view Aes::backend_name() const { return backend_->name(); }

@@ -6,15 +6,17 @@
 // encryption (B-AES, Fig. 3(a) / Algorithm 1 defense) derives per-segment
 // one-time pads by XORing the base OTP with them.
 //
-// The cipher rounds themselves run through a pluggable backend
-// (crypto/aes_backend.h): a byte-wise scalar reference that mirrors the FIPS
-// pseudocode, and a table-driven fast path (four 256-entry u32 tables,
-// word-wise rounds) that the secure-memory hot loop uses by default.  Every
-// backend consumes the same key schedule and must produce identical
-// ciphertext; tests/crypto/aes_backend_test.cpp cross-validates them.
+// Only the forward cipher exists: every mode here (CTR, B-AES) decrypts by
+// XORing the same pad, so the inverse cipher would never run.  The rounds
+// run through a pluggable backend (crypto/aes_backend.h): a byte-wise scalar
+// reference that mirrors the FIPS pseudocode, a table-driven software tier
+// (four 256-entry u32 tables, word-wise rounds), and AES-NI, the default
+// wherever the CPU has it.  Every backend consumes the same key schedule and
+// must produce identical ciphertext; tests/crypto/aes_backend_test.cpp
+// cross-validates them.
 //
-// The S-boxes are generated at compile time from the GF(2^8) field inverse
-// and the FIPS affine transform, which removes any transcription risk; the
+// The S-box is generated at compile time from the GF(2^8) field inverse and
+// the FIPS affine transform, which removes any transcription risk; the
 // FIPS-197 appendix vectors are checked in tests/crypto/aes_test.cpp.
 #pragma once
 
@@ -43,7 +45,7 @@ enum class Aes_backend_kind {
     auto_select,  ///< aesni when the CPU has it, else ttable; SEDA_AES_BACKEND overrides
     scalar,       ///< byte-wise FIPS-197 reference
     ttable,       ///< four 256xu32 tables, word-wise rounds (software fast tier)
-    aesni,        ///< AES-NI rounds (VAES 2x128-lane CTR when available), CPUID-gated
+    aesni,        ///< AES-NI rounds (VAES 2x128-lane gear when available), CPUID-gated
 };
 
 [[nodiscard]] constexpr const char* to_string(Aes_backend_kind k)
@@ -58,14 +60,11 @@ enum class Aes_backend_kind {
 }
 
 /// Expanded key material shared by every backend.  The byte-form round keys
-/// are the B-AES pad source; the word forms feed the table-driven rounds.
+/// are the B-AES pad source; the word form feeds the table-driven rounds.
 struct Aes_key_schedule {
     int rounds = 0;                   ///< 10 / 12 / 14 for AES-128/192/256
     std::vector<Block16> round_keys;  ///< rounds+1 byte-form round keys
     std::vector<u32> enc_words;       ///< 4*(rounds+1) big-endian column words
-    /// Equivalent-inverse-cipher schedule: dec_words[r] = InvMixColumns of
-    /// enc round key rounds-r (identity for the first and last entries).
-    std::vector<u32> dec_words;
 };
 
 class Aes_backend;
@@ -81,17 +80,11 @@ public:
                  Aes_backend_kind kind = Aes_backend_kind::auto_select);
 
     [[nodiscard]] Block16 encrypt_block(const Block16& in) const;
-    [[nodiscard]] Block16 decrypt_block(const Block16& in) const;
 
-    /// Bulk interface: encrypts/decrypts every block in place.  One virtual
-    /// dispatch for the whole span; the CTR bulk keystream path lives here.
+    /// Bulk interface: encrypts every block in place with one virtual
+    /// dispatch for the whole span.  B-AES's batched base OTPs
+    /// (Baes_engine::otps_many) run through here.
     void encrypt_blocks(std::span<Block16> blocks) const;
-    void decrypt_blocks(std::span<Block16> blocks) const;
-
-    /// Fills `out` with CTR keystream for counters (pa, vn)..(pa, vn+n-1),
-    /// never materializing the counter blocks (fast backends keep the
-    /// counter in registers through the rounds).
-    void ctr_keystream(Addr pa, u64 vn, std::span<Block16> out) const;
 
     /// Number of cipher rounds: 10 / 12 / 14 for AES-128/192/256.
     [[nodiscard]] int rounds() const { return schedule_.rounds; }
@@ -155,15 +148,6 @@ private:
     std::array<u8, 256> t{};
     for (int i = 0; i < 256; ++i)
         t[static_cast<std::size_t>(i)] = aes_sbox_value(static_cast<u8>(i));
-    return t;
-}
-
-/// The full inverse S-box, generated at compile time.
-[[nodiscard]] constexpr std::array<u8, 256> make_aes_inv_sbox()
-{
-    const auto sbox = make_aes_sbox();
-    std::array<u8, 256> t{};
-    for (int i = 0; i < 256; ++i) t[sbox[static_cast<std::size_t>(i)]] = static_cast<u8>(i);
     return t;
 }
 

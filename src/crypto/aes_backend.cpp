@@ -10,23 +10,16 @@ namespace seda::crypto {
 namespace {
 
 constexpr auto k_sbox = make_aes_sbox();
-constexpr auto k_inv_sbox = make_aes_inv_sbox();
 
 // Compile-time sanity anchors from FIPS-197 (full vectors are in the tests).
 static_assert(make_aes_sbox()[0x00] == 0x63);
 static_assert(make_aes_sbox()[0x53] == 0xED);
-static_assert(make_aes_inv_sbox()[0x63] == 0x00);
 
 // ------------------------------------------------------- scalar backend ----
 
 void sub_bytes(Block16& s)
 {
     for (auto& b : s) b = k_sbox[b];
-}
-
-void inv_sub_bytes(Block16& s)
-{
-    for (auto& b : s) b = k_inv_sbox[b];
 }
 
 // State is column-major per FIPS-197: byte index = row + 4*column.
@@ -39,15 +32,6 @@ void shift_rows(Block16& s)
                 t[static_cast<std::size_t>(r + 4 * ((c + r) % 4))];
 }
 
-void inv_shift_rows(Block16& s)
-{
-    Block16 t = s;
-    for (int r = 1; r < 4; ++r)
-        for (int c = 0; c < 4; ++c)
-            s[static_cast<std::size_t>(r + 4 * ((c + r) % 4))] =
-                t[static_cast<std::size_t>(r + 4 * c)];
-}
-
 void mix_columns(Block16& s)
 {
     for (int c = 0; c < 4; ++c) {
@@ -57,22 +41,6 @@ void mix_columns(Block16& s)
         s[o + 1] = static_cast<u8>(a0 ^ gf_mul(a1, 2) ^ gf_mul(a2, 3) ^ a3);
         s[o + 2] = static_cast<u8>(a0 ^ a1 ^ gf_mul(a2, 2) ^ gf_mul(a3, 3));
         s[o + 3] = static_cast<u8>(gf_mul(a0, 3) ^ a1 ^ a2 ^ gf_mul(a3, 2));
-    }
-}
-
-void inv_mix_columns(Block16& s)
-{
-    for (int c = 0; c < 4; ++c) {
-        const std::size_t o = static_cast<std::size_t>(4 * c);
-        const u8 a0 = s[o], a1 = s[o + 1], a2 = s[o + 2], a3 = s[o + 3];
-        s[o] = static_cast<u8>(gf_mul(a0, 0x0E) ^ gf_mul(a1, 0x0B) ^ gf_mul(a2, 0x0D) ^
-                               gf_mul(a3, 0x09));
-        s[o + 1] = static_cast<u8>(gf_mul(a0, 0x09) ^ gf_mul(a1, 0x0E) ^ gf_mul(a2, 0x0B) ^
-                                   gf_mul(a3, 0x0D));
-        s[o + 2] = static_cast<u8>(gf_mul(a0, 0x0D) ^ gf_mul(a1, 0x09) ^ gf_mul(a2, 0x0E) ^
-                                   gf_mul(a3, 0x0B));
-        s[o + 3] = static_cast<u8>(gf_mul(a0, 0x0B) ^ gf_mul(a1, 0x0D) ^ gf_mul(a2, 0x09) ^
-                                   gf_mul(a3, 0x0E));
     }
 }
 
@@ -100,34 +68,16 @@ public:
             add_round_key(s, ks.round_keys[static_cast<std::size_t>(ks.rounds)]);
         }
     }
-
-    void decrypt_blocks(const Aes_key_schedule& ks, std::span<Block16> blocks) const override
-    {
-        for (Block16& s : blocks) {
-            add_round_key(s, ks.round_keys[static_cast<std::size_t>(ks.rounds)]);
-            for (int r = ks.rounds - 1; r >= 1; --r) {
-                inv_shift_rows(s);
-                inv_sub_bytes(s);
-                add_round_key(s, ks.round_keys[static_cast<std::size_t>(r)]);
-                inv_mix_columns(s);
-            }
-            inv_shift_rows(s);
-            inv_sub_bytes(s);
-            add_round_key(s, ks.round_keys[0]);
-        }
-    }
 };
 
 // ------------------------------------------------------- t-table backend ---
 //
 // Te0[x] packs the MixColumns column of S[x] big-endian: (2S, S, S, 3S); the
 // other tables are byte rotations so each state byte indexes the table for
-// its row.  Td tables do the same for InvSubBytes + InvMixColumns and drive
-// the equivalent inverse cipher over the dec_words schedule.
+// its row.
 
 struct Aes_tables {
     std::array<u32, 256> te0{}, te1{}, te2{}, te3{};
-    std::array<u32, 256> td0{}, td1{}, td2{}, td3{};
 };
 
 constexpr Aes_tables make_tables()
@@ -142,15 +92,6 @@ constexpr Aes_tables make_tables()
         t.te1[x] = rotr32(te, 8);
         t.te2[x] = rotr32(te, 16);
         t.te3[x] = rotr32(te, 24);
-
-        const u8 is = k_inv_sbox[x];
-        const u32 td = (static_cast<u32>(gf_mul(is, 0x0E)) << 24) |
-                       (static_cast<u32>(gf_mul(is, 0x09)) << 16) |
-                       (static_cast<u32>(gf_mul(is, 0x0D)) << 8) | gf_mul(is, 0x0B);
-        t.td0[x] = td;
-        t.td1[x] = rotr32(td, 8);
-        t.td2[x] = rotr32(td, 16);
-        t.td3[x] = rotr32(td, 24);
     }
     return t;
 }
@@ -171,61 +112,6 @@ public:
         }
     }
 
-    void decrypt_blocks(const Aes_key_schedule& ks, std::span<Block16> blocks) const override
-    {
-        const u32* rk = ks.dec_words.data();
-        const int rounds = ks.rounds;
-        for (Block16& blk : blocks) {
-            u32 s0 = load_be32(blk.data()) ^ rk[0];
-            u32 s1 = load_be32(blk.data() + 4) ^ rk[1];
-            u32 s2 = load_be32(blk.data() + 8) ^ rk[2];
-            u32 s3 = load_be32(blk.data() + 12) ^ rk[3];
-
-            const u32* k = rk + 4;
-            for (int r = 1; r < rounds; ++r, k += 4) {
-                const u32 t0 = k_t.td0[s0 >> 24] ^ k_t.td1[(s3 >> 16) & 0xFF] ^
-                               k_t.td2[(s2 >> 8) & 0xFF] ^ k_t.td3[s1 & 0xFF] ^ k[0];
-                const u32 t1 = k_t.td0[s1 >> 24] ^ k_t.td1[(s0 >> 16) & 0xFF] ^
-                               k_t.td2[(s3 >> 8) & 0xFF] ^ k_t.td3[s2 & 0xFF] ^ k[1];
-                const u32 t2 = k_t.td0[s2 >> 24] ^ k_t.td1[(s1 >> 16) & 0xFF] ^
-                               k_t.td2[(s0 >> 8) & 0xFF] ^ k_t.td3[s3 & 0xFF] ^ k[2];
-                const u32 t3 = k_t.td0[s3 >> 24] ^ k_t.td1[(s2 >> 16) & 0xFF] ^
-                               k_t.td2[(s1 >> 8) & 0xFF] ^ k_t.td3[s0 & 0xFF] ^ k[3];
-                s0 = t0;
-                s1 = t1;
-                s2 = t2;
-                s3 = t3;
-            }
-
-            // Final round: InvSubBytes + InvShiftRows only.
-            const u32 t0 = inv_sub_word(s0 >> 24, (s3 >> 16) & 0xFF, (s2 >> 8) & 0xFF,
-                                        s1 & 0xFF) ^ k[0];
-            const u32 t1 = inv_sub_word(s1 >> 24, (s0 >> 16) & 0xFF, (s3 >> 8) & 0xFF,
-                                        s2 & 0xFF) ^ k[1];
-            const u32 t2 = inv_sub_word(s2 >> 24, (s1 >> 16) & 0xFF, (s0 >> 8) & 0xFF,
-                                        s3 & 0xFF) ^ k[2];
-            const u32 t3 = inv_sub_word(s3 >> 24, (s2 >> 16) & 0xFF, (s1 >> 8) & 0xFF,
-                                        s0 & 0xFF) ^ k[3];
-            store_be32(blk.data(), t0);
-            store_be32(blk.data() + 4, t1);
-            store_be32(blk.data() + 8, t2);
-            store_be32(blk.data() + 12, t3);
-        }
-    }
-
-    void ctr_keystream(const Aes_key_schedule& ks, Addr pa, u64 vn,
-                       std::span<Block16> out) const override
-    {
-        // Fused counter + rounds: the PA half of every counter is constant,
-        // so its two state words XOR with the first round key once, and the
-        // VN half never leaves registers.
-        switch (ks.rounds) {
-            case 10: ctr_keystream_r<10>(ks, pa, vn, out); break;
-            case 12: ctr_keystream_r<12>(ks, pa, vn, out); break;
-            default: ctr_keystream_r<14>(ks, pa, vn, out); break;
-        }
-    }
-
 private:
     /// Blocks interleaved per inner iteration.  Each block's rounds form one
     /// serial table-lookup chain, so a single stream is latency-bound; two
@@ -243,16 +129,6 @@ private:
         for (; i < blocks.size(); ++i) encrypt_lane<1, R>(ks, &blocks[i]);
     }
 
-    template <int R>
-    static void ctr_keystream_r(const Aes_key_schedule& ks, Addr pa, u64 vn,
-                                std::span<Block16> out)
-    {
-        std::size_t i = 0;
-        for (; i + k_lanes <= out.size(); i += k_lanes)
-            keystream_lane<k_lanes, R>(ks, pa, vn + i, &out[i]);
-        for (; i < out.size(); ++i) keystream_lane<1, R>(ks, pa, vn + i, &out[i]);
-    }
-
     template <std::size_t N, int R>
     static void encrypt_lane(const Aes_key_schedule& ks, Block16* blks)
     {
@@ -264,35 +140,6 @@ private:
             s2[j] = load_be32(blks[j].data() + 8) ^ rk[2];
             s3[j] = load_be32(blks[j].data() + 12) ^ rk[3];
         }
-        rounds_and_store<N, R>(rk, s0, s1, s2, s3, blks);
-    }
-
-    template <std::size_t N, int R>
-    static void keystream_lane(const Aes_key_schedule& ks, Addr pa, u64 vn, Block16* out)
-    {
-        const u32* rk = ks.enc_words.data();
-        const u32 c0 = static_cast<u32>(pa >> 32) ^ rk[0];
-        const u32 c1 = static_cast<u32>(pa) ^ rk[1];
-        u32 s0[N], s1[N], s2[N], s3[N];
-        for (std::size_t j = 0; j < N; ++j) {
-            const u64 v = vn + j;  // VN half wraps mod 2^64 (counter_add)
-            s0[j] = c0;
-            s1[j] = c1;
-            s2[j] = static_cast<u32>(v >> 32) ^ rk[2];
-            s3[j] = static_cast<u32>(v) ^ rk[3];
-        }
-        rounds_and_store<N, R>(rk, s0, s1, s2, s3, out);
-    }
-
-    /// Middle + final rounds over N interleaved states, results stored
-    /// big-endian into `out`.  With R a compile-time constant the loop fully
-    /// unrolls; always_inline keeps the state arrays in registers instead of
-    /// bouncing them through the caller's stack frame.
-    template <std::size_t N, int R>
-    [[gnu::always_inline]] static inline void rounds_and_store(const u32* rk, u32 (&s0)[N],
-                                                               u32 (&s1)[N], u32 (&s2)[N],
-                                                               u32 (&s3)[N], Block16* out)
-    {
         const u32* k = rk + 4;
         for (int r = 1; r < R; ++r, k += 4) {
             for (std::size_t j = 0; j < N; ++j) {
@@ -321,10 +168,10 @@ private:
                                     (s0[j] >> 8) & 0xFF, s1[j] & 0xFF) ^ k[2];
             const u32 t3 = sub_word(s3[j] >> 24, (s0[j] >> 16) & 0xFF,
                                     (s1[j] >> 8) & 0xFF, s2[j] & 0xFF) ^ k[3];
-            store_be32(out[j].data(), t0);
-            store_be32(out[j].data() + 4, t1);
-            store_be32(out[j].data() + 8, t2);
-            store_be32(out[j].data() + 12, t3);
+            store_be32(blks[j].data(), t0);
+            store_be32(blks[j].data() + 4, t1);
+            store_be32(blks[j].data() + 8, t2);
+            store_be32(blks[j].data() + 12, t3);
         }
     }
 
@@ -333,29 +180,12 @@ private:
         return (static_cast<u32>(k_sbox[b0]) << 24) | (static_cast<u32>(k_sbox[b1]) << 16) |
                (static_cast<u32>(k_sbox[b2]) << 8) | k_sbox[b3];
     }
-
-    static u32 inv_sub_word(u32 b0, u32 b1, u32 b2, u32 b3)
-    {
-        return (static_cast<u32>(k_inv_sbox[b0]) << 24) |
-               (static_cast<u32>(k_inv_sbox[b1]) << 16) |
-               (static_cast<u32>(k_inv_sbox[b2]) << 8) | k_inv_sbox[b3];
-    }
 };
 
 const Scalar_backend k_scalar_backend;
 const Ttable_backend k_ttable_backend;
 
 }  // namespace
-
-void Aes_backend::ctr_keystream(const Aes_key_schedule& ks, Addr pa, u64 vn,
-                                std::span<Block16> out) const
-{
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        store_be64(out[i].data(), pa);
-        store_be64(out[i].data() + 8, vn + i);
-    }
-    encrypt_blocks(ks, out);
-}
 
 const Aes_backend& scalar_backend() { return k_scalar_backend; }
 const Aes_backend& ttable_backend() { return k_ttable_backend; }

@@ -1,8 +1,9 @@
 // Pluggable AES round implementations behind one key schedule.
 //
-// The functional secure-memory stack pushes every protected byte through
-// AES-CTR, so the round implementation is the hottest loop in the repo.
-// Three backends exist deliberately:
+// The functional secure-memory stack pushes every protected unit through
+// AES: B-AES encrypts one PA || VN counter per unit and fans the result out
+// across the round keys, so a backend only ever runs the forward cipher over
+// a batch of blocks.  Three backends exist deliberately:
 //
 //   * scalar  - byte-wise SubBytes/ShiftRows/MixColumns that mirrors the
 //               FIPS-197 pseudocode (gf_mul per MixColumns term).  Slow, but
@@ -12,10 +13,10 @@
 //               MixColumns fused per byte), word-wise rounds over u32 round
 //               keys.  The software analogue of a pipelined hardware engine
 //               and the fallback tier on CPUs without AES-NI.
-//   * aesni   - hardware rounds via aesenc/aesdec with 8 blocks in flight,
-//               a fused CTR keystream, and a VAES 2x128-bit-lane gear when
-//               the CPU has it.  CPUID-gated at runtime; the default
-//               wherever available (src/crypto/aes_backend_aesni.cpp).
+//   * aesni   - hardware rounds via aesenc with 8 blocks in flight, and a
+//               VAES 2x128-bit-lane gear when the CPU has it.  CPUID-gated
+//               at runtime; the default wherever available
+//               (src/crypto/aes_backend_aesni.cpp).
 //
 // Backends are stateless singletons: the key schedule travels with the Aes
 // instance, so one backend object serves any number of keys concurrently.
@@ -43,18 +44,6 @@ public:
     /// Encrypts every block in place under `ks`.
     virtual void encrypt_blocks(const Aes_key_schedule& ks,
                                 std::span<Block16> blocks) const = 0;
-
-    /// Decrypts every block in place under `ks`.
-    virtual void decrypt_blocks(const Aes_key_schedule& ks,
-                                std::span<Block16> blocks) const = 0;
-
-    /// Fills `out` with CTR keystream for the counters (PA || vn) ..
-    /// (PA || vn+out.size()-1), Eq. 1's counter layout.  The base
-    /// implementation assembles the counter blocks in `out` and delegates to
-    /// encrypt_blocks; fast backends override it with a fused path that
-    /// keeps the counter in registers end to end.
-    virtual void ctr_keystream(const Aes_key_schedule& ks, Addr pa, u64 vn,
-                               std::span<Block16> out) const;
 };
 
 /// The byte-wise FIPS-197 reference backend.
@@ -91,7 +80,7 @@ public:
 /// (independent of SEDA_DISABLE_HW_CRYPTO; all false on non-x86).
 struct Cpu_crypto_features {
     bool aes = false;     ///< AES-NI round instructions
-    bool vaes = false;    ///< 256-bit vector AES (with avx2: the wide CTR gear)
+    bool vaes = false;    ///< 256-bit vector AES (with avx2: the wide gear)
     bool sha_ni = false;  ///< SHA extensions (sha256rnds2/msg1/msg2)
     bool avx2 = false;    ///< 32-byte integer vectors
 };

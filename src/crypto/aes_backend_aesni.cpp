@@ -3,7 +3,7 @@
 // One aesenc executes SubBytes + ShiftRows + MixColumns + AddRoundKey, so a
 // block costs `rounds` instructions instead of the t-table's 40 dependent
 // table lookups.  The instruction is pipelined (latency ~4 cycles,
-// throughput 1/cycle on this repo's reference Xeon), so every bulk entry
+// throughput 1/cycle on this repo's reference Xeon), so the bulk entry
 // point keeps eight independent blocks in flight -- enough to cover the
 // latency without spilling the 16-register XMM file.  Two gears share the
 // code shape:
@@ -16,9 +16,7 @@
 //
 // The byte layout needs no translation: FIPS-197 round keys and AES-NI both
 // treat the 16 bytes as the column-major state, so round keys load straight
-// from Aes_key_schedule::round_keys.  Decryption runs the equivalent
-// inverse cipher over aesdec; the schedule is recovered from dec_words
-// (already reversed + InvMixColumns'd, as big-endian words) once per call.
+// from Aes_key_schedule::round_keys.
 //
 // Everything here is compiled with per-function target attributes (plus
 // per-file -maes flags in CMake, belt and braces), so the TU builds and
@@ -30,8 +28,6 @@
 #if defined(__x86_64__) && !defined(SEDA_DISABLE_HW_CRYPTO)
 
 #include <immintrin.h>
-
-#include "common/bitutil.h"
 
 namespace seda::crypto {
 namespace {
@@ -55,32 +51,12 @@ constexpr int k_max_round_keys = 15;
         rk[r] = load_block(ks.round_keys[static_cast<std::size_t>(r)].data());
 }
 
-/// The equivalent-inverse-cipher keys, recovered byte-form from the
-/// big-endian dec_words the t-table decrypt path consumes.
-[[gnu::target("aes,sse4.1")]] void load_dec_keys(const Aes_key_schedule& ks, __m128i* rk)
-{
-    alignas(16) u8 tmp[16];
-    for (int r = 0; r <= ks.rounds; ++r) {
-        for (int c = 0; c < 4; ++c)
-            store_be32(tmp + 4 * c, ks.dec_words[static_cast<std::size_t>(4 * r + c)]);
-        rk[r] = _mm_load_si128(reinterpret_cast<const __m128i*>(tmp));
-    }
-}
-
 [[gnu::target("aes,sse4.1")]] inline __m128i encrypt_one(const __m128i* rk, int rounds,
                                                          __m128i x)
 {
     x = _mm_xor_si128(x, rk[0]);
     for (int r = 1; r < rounds; ++r) x = _mm_aesenc_si128(x, rk[r]);
     return _mm_aesenclast_si128(x, rk[rounds]);
-}
-
-[[gnu::target("aes,sse4.1")]] inline __m128i decrypt_one(const __m128i* rk, int rounds,
-                                                         __m128i x)
-{
-    x = _mm_xor_si128(x, rk[0]);
-    for (int r = 1; r < rounds; ++r) x = _mm_aesdec_si128(x, rk[r]);
-    return _mm_aesdeclast_si128(x, rk[rounds]);
 }
 
 [[gnu::target("aes,sse4.1")]] void encrypt_blocks_sse(const Aes_key_schedule& ks,
@@ -103,59 +79,6 @@ constexpr int k_max_round_keys = 15;
     }
     for (; i < blocks.size(); ++i)
         store_block(blocks[i].data(), encrypt_one(rk, rounds, load_block(blocks[i].data())));
-}
-
-[[gnu::target("aes,sse4.1")]] void decrypt_blocks_sse(const Aes_key_schedule& ks,
-                                                      std::span<Block16> blocks)
-{
-    __m128i rk[k_max_round_keys];
-    load_dec_keys(ks, rk);
-    const int rounds = ks.rounds;
-    std::size_t i = 0;
-    for (; i + 8 <= blocks.size(); i += 8) {
-        __m128i x[8];
-        for (int j = 0; j < 8; ++j)
-            x[j] = _mm_xor_si128(load_block(blocks[i + static_cast<std::size_t>(j)].data()),
-                                 rk[0]);
-        for (int r = 1; r < rounds; ++r)
-            for (int j = 0; j < 8; ++j) x[j] = _mm_aesdec_si128(x[j], rk[r]);
-        for (int j = 0; j < 8; ++j)
-            store_block(blocks[i + static_cast<std::size_t>(j)].data(),
-                        _mm_aesdeclast_si128(x[j], rk[rounds]));
-    }
-    for (; i < blocks.size(); ++i)
-        store_block(blocks[i].data(), decrypt_one(rk, rounds, load_block(blocks[i].data())));
-}
-
-/// Counter block (PA || vn+j), both halves big-endian (Eq. 1), composed in
-/// a register: byte-swapped u64s land as bytes 0..7 = PA, 8..15 = VN.  The
-/// VN half wraps mod 2^64, matching counter_add.
-[[gnu::target("aes,sse4.1")]] inline __m128i counter_128(i64 pa_be, u64 vn)
-{
-    return _mm_set_epi64x(static_cast<i64>(__builtin_bswap64(vn)), pa_be);
-}
-
-[[gnu::target("aes,sse4.1")]] void ctr_keystream_sse(const Aes_key_schedule& ks, Addr pa,
-                                                     u64 vn, std::span<Block16> out)
-{
-    __m128i rk[k_max_round_keys];
-    load_enc_keys(ks, rk);
-    const int rounds = ks.rounds;
-    const i64 pa_be = static_cast<i64>(__builtin_bswap64(pa));
-    std::size_t i = 0;
-    for (; i + 8 <= out.size(); i += 8) {
-        __m128i x[8];
-        for (int j = 0; j < 8; ++j)
-            x[j] = _mm_xor_si128(counter_128(pa_be, vn + i + static_cast<u64>(j)), rk[0]);
-        for (int r = 1; r < rounds; ++r)
-            for (int j = 0; j < 8; ++j) x[j] = _mm_aesenc_si128(x[j], rk[r]);
-        for (int j = 0; j < 8; ++j)
-            store_block(out[i + static_cast<std::size_t>(j)].data(),
-                        _mm_aesenclast_si128(x[j], rk[rounds]));
-    }
-    for (; i < out.size(); ++i)
-        store_block(out[i].data(),
-                    encrypt_one(rk, rounds, counter_128(pa_be, vn + i)));
 }
 
 // ------------------------------------------------------------ VAES gear ----
@@ -192,33 +115,6 @@ constexpr int k_max_round_keys = 15;
                                 _mm256_aesenclast_epi128(x[j], rk[rounds]));
     }
     if (i < blocks.size()) encrypt_blocks_sse(ks, blocks.subspan(i));
-}
-
-[[gnu::target("vaes,avx2,aes")]] void ctr_keystream_vaes(const Aes_key_schedule& ks, Addr pa,
-                                                         u64 vn, std::span<Block16> out)
-{
-    __m256i rk[k_max_round_keys];
-    load_enc_keys_wide(ks, rk);
-    const int rounds = ks.rounds;
-    const i64 pa_be = static_cast<i64>(__builtin_bswap64(pa));
-    std::size_t i = 0;
-    for (; i + 8 <= out.size(); i += 8) {
-        __m256i x[4];
-        for (int j = 0; j < 4; ++j) {
-            const u64 v = vn + i + static_cast<u64>(2 * j);
-            x[j] = _mm256_xor_si256(
-                _mm256_set_epi64x(static_cast<i64>(__builtin_bswap64(v + 1)), pa_be,
-                                  static_cast<i64>(__builtin_bswap64(v)), pa_be),
-                rk[0]);
-        }
-        for (int r = 1; r < rounds; ++r)
-            for (int j = 0; j < 4; ++j) x[j] = _mm256_aesenc_epi128(x[j], rk[r]);
-        for (int j = 0; j < 4; ++j)
-            _mm256_storeu_si256(
-                reinterpret_cast<__m256i*>(out[i + static_cast<std::size_t>(2 * j)].data()),
-                _mm256_aesenclast_epi128(x[j], rk[rounds]));
-    }
-    if (i < out.size()) ctr_keystream_sse(ks, pa, vn + i, out.subspan(i));
 }
 
 // ------------------------------------------------- aeskeygenassist gear ----
@@ -268,22 +164,6 @@ public:
             encrypt_blocks_vaes(ks, blocks);
         else
             encrypt_blocks_sse(ks, blocks);
-    }
-
-    void decrypt_blocks(const Aes_key_schedule& ks, std::span<Block16> blocks) const override
-    {
-        // Decryption is off the CTR hot path (CTR decrypt == encrypt), so
-        // the SSE gear is plenty.
-        decrypt_blocks_sse(ks, blocks);
-    }
-
-    void ctr_keystream(const Aes_key_schedule& ks, Addr pa, u64 vn,
-                       std::span<Block16> out) const override
-    {
-        if (vaes_)
-            ctr_keystream_vaes(ks, pa, vn, out);
-        else
-            ctr_keystream_sse(ks, pa, vn, out);
     }
 
 private:

@@ -12,7 +12,7 @@ Baes_engine::Baes_engine(std::span<const u8> key, Aes_backend_kind kind)
 std::vector<Block16> Baes_engine::otps(Addr pa, u64 vn, std::size_t lanes) const
 {
     std::vector<Block16> pads;
-    otps_into(pa, vn, lanes, pads);
+    fan_out(ctr_.otp(pa, vn), pa, vn, lanes, pads);
     return pads;
 }
 
@@ -24,12 +24,6 @@ void Baes_engine::otps_many(std::span<const Otp_request> reqs,
     for (std::size_t i = 0; i < reqs.size(); ++i)
         bases[i] = make_counter(reqs[i].pa, reqs[i].vn);
     ctr_.engine().encrypt_blocks(bases);
-}
-
-void Baes_engine::otps_into(Addr pa, u64 vn, std::size_t lanes,
-                            std::vector<Block16>& pads) const
-{
-    fan_out(ctr_.otp(pa, vn), pa, vn, lanes, pads);
 }
 
 void Baes_engine::fan_out(const Block16& base, Addr pa, u64 vn, std::size_t lanes,
@@ -61,15 +55,7 @@ void Baes_engine::fan_out(const Block16& base, Addr pa, u64 vn, std::size_t lane
 void Baes_engine::crypt(std::span<u8> data, Addr pa, u64 vn) const
 {
     std::vector<Block16> pads;
-    crypt_with(data, pa, vn, pads);
-}
-
-void Baes_engine::crypt_with(std::span<u8> data, Addr pa, u64 vn,
-                             std::vector<Block16>& pad_scratch) const
-{
-    const std::size_t lanes = (data.size() + k_aes_block_bytes - 1) / k_aes_block_bytes;
-    otps_into(pa, vn, lanes, pad_scratch);
-    xor_lanes(data, pad_scratch);
+    crypt_with_base(data, pa, vn, ctr_.otp(pa, vn), pads);
 }
 
 void Baes_engine::crypt_with_base(std::span<u8> data, Addr pa, u64 vn, const Block16& base,

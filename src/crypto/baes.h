@@ -11,9 +11,11 @@
 // extension applies: keyExpansion is re-run with input key ^ (PA || VN),
 // yielding a further bank of pads, and so on.
 //
-// The batch entry points (otps_into / crypt_with) take caller-owned scratch
-// so Secure_memory's batch I/O amortizes the pad buffer across a whole tile
-// of units instead of allocating per unit.
+// Single-unit and batch B-AES share one fan-out.  A batch produces every
+// unit's base OTP in one bulk AES call (otps_many) and then runs the fan-out
+// and XOR lanes per unit (crypt_with_base) with caller-owned pad scratch, so
+// Secure_memory's batch I/O amortizes the pad buffer across a whole tile of
+// units.  crypt() is that same path for one unit.
 #pragma once
 
 #include <span>
@@ -54,24 +56,16 @@ public:
     /// `reqs.size()`; bit-identical to ctr().otp() per request.
     void otps_many(std::span<const Otp_request> reqs, std::span<Block16> bases) const;
 
-    /// crypt_with() for a unit whose base OTP was already produced by
-    /// otps_many: only the per-segment pad fan-out and the XOR lanes run
-    /// here.  `base` must be the OTP of (pa, vn); bit-identical to
-    /// crypt_with() on the same unit.
+    /// Encrypts/decrypts `data` in place for a unit whose base OTP was
+    /// already produced by otps_many: only the per-segment pad fan-out
+    /// (written into `pad_scratch`, reused across units) and the XOR lanes
+    /// run here.  `base` must be the OTP of (pa, vn).
     void crypt_with_base(std::span<u8> data, Addr pa, u64 vn, const Block16& base,
                          std::vector<Block16>& pad_scratch) const;
-
-    /// Same fan-out written into `pads` (resized to `lanes`); reusing the
-    /// vector across units keeps the batch path allocation-free.
-    void otps_into(Addr pa, u64 vn, std::size_t lanes, std::vector<Block16>& pads) const;
 
     /// Encrypts/decrypts `data` in place, one B-AES lane per 16-byte segment.
     /// CTR-style XOR discipline, so the two operations coincide.
     void crypt(std::span<u8> data, Addr pa, u64 vn) const;
-
-    /// crypt() with caller-owned pad scratch (the batch-I/O hot path).
-    void crypt_with(std::span<u8> data, Addr pa, u64 vn,
-                    std::vector<Block16>& pad_scratch) const;
 
     /// Number of pads available without re-running keyExpansion
     /// (= round keys of the primary schedule).

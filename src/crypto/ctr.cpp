@@ -1,7 +1,6 @@
 #include "crypto/ctr.h"
 
-#include <array>
-#include <cstring>
+#include <algorithm>
 
 #include "common/bitutil.h"
 
@@ -40,31 +39,6 @@ void Aes_ctr::crypt_standard(std::span<u8> data, Addr pa, u64 vn) const
         xor_into(data.first(n), pad);
         data = data.subspan(n);
         ++seg;
-    }
-}
-
-void Aes_ctr::crypt_bulk(std::span<u8> data, Addr pa, u64 vn) const
-{
-    std::array<Block16, k_keystream_batch> ks;
-    u64 seg = 0;  // counter stays in registers; VN half wraps mod 2^64
-    while (!data.empty()) {
-        const std::size_t want =
-            (data.size() + k_aes_block_bytes - 1) / k_aes_block_bytes;
-        const std::size_t nblk = std::min(want, k_keystream_batch);
-        aes_.ctr_keystream(pa, vn + seg, std::span<Block16>(ks.data(), nblk));
-
-        const std::size_t whole = std::min(data.size() / k_aes_block_bytes, nblk);
-        u8* p = data.data();
-        for (std::size_t i = 0; i < whole; ++i)
-            xor_16_bytes(p + i * k_aes_block_bytes, ks[i].data());
-        std::size_t consumed = whole * k_aes_block_bytes;
-        if (whole < nblk && consumed < data.size()) {
-            // Trailing partial segment: byte loop over the ragged tail.
-            xor_into(data.subspan(consumed), ks[whole]);
-            consumed = data.size();
-        }
-        data = data.subspan(consumed);
-        seg += nblk;
     }
 }
 

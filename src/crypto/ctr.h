@@ -11,11 +11,9 @@
 //   * B-AES            - see crypto/baes.h: one AES invocation per unit,
 //                        per-segment pads derived from round keys.
 //
-// crypt_standard comes in two gears that produce identical ciphertext:
-// the blockwise loop above (the reference discipline) and crypt_bulk, which
-// keeps the counter in registers, batches keystream generation through
-// Aes::encrypt_blocks, and XORs in u64 lanes.  bench_crypto_micro measures
-// the gap; tests assert the equivalence.
+// In all three, decryption is the same XOR as encryption, so only the
+// forward cipher runs.  The secure-memory datapath takes the B-AES route;
+// the other two are the references Algorithm 1 contrasts it with.
 #pragma once
 
 #include <span>
@@ -51,26 +49,14 @@ public:
 
     /// Textbook CTR over `data` (any length); segment i uses counter+i.
     /// Encryption and decryption are the same operation (Eq. 1 / Eq. 2).
-    /// One AES invocation per 16 B segment: the reference gear.
+    /// One AES invocation per 16 B segment.
     void crypt_standard(std::span<u8> data, Addr pa, u64 vn) const;
-
-    /// Same keystream as crypt_standard, generated k_keystream_batch blocks
-    /// at a time and XORed in 64-bit lanes.  The fast gear for tile-sized
-    /// transfers; bit-identical to crypt_standard on any length.
-    void crypt_bulk(std::span<u8> data, Addr pa, u64 vn) const;
 
     /// Insecure variant: every 16-byte segment XORed with the *same* OTP.
     /// Kept as the SECA attack target; never used by the SeDA scheme.
     void crypt_shared_otp(std::span<u8> data, Addr pa, u64 vn) const;
 
     [[nodiscard]] const Aes& engine() const { return aes_; }
-
-    /// Keystream blocks generated per ctr_keystream call in crypt_bulk
-    /// (1 KB of pad per batch: deep enough to amortize the dispatch and the
-    /// hardware backends' per-call round-key loads -- AES-NI retires 8
-    /// blocks per wave, so 64 blocks is 8 full waves -- while the scratch
-    /// stays comfortably in L1).
-    static constexpr std::size_t k_keystream_batch = 64;
 
 private:
     Aes aes_;

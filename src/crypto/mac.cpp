@@ -16,7 +16,7 @@ constexpr std::size_t k_hmac_block = 64;  // SHA-256 block size in bytes
 u64 truncate64(const Digest256& d) { return load_be64(d.data()); }
 
 /// One logical HMAC message for the bulk path: `data` followed by a short
-/// `suffix` (the positional fields, or empty), hashed as if concatenated.
+/// `suffix` (the positional fields), hashed as if concatenated.
 struct Bulk_msg {
     std::span<const u8> data;
     std::span<const u8> suffix;
@@ -43,7 +43,7 @@ struct Bulk_scratch {
     std::vector<Sha256_job> jobs;
     std::vector<Sha256_state> outer_states;
     std::vector<u8> outer_blocks;
-    // Staging for the public entry points (disjoint from hmac_many's use).
+    // Staging for positional_macs (disjoint from hmac_many's use).
     std::vector<std::array<u8, 28>> fields;
     std::vector<Bulk_msg> msgs;
     std::vector<Digest256> digests;
@@ -224,16 +224,6 @@ u64 Hmac_engine::positional_mac(std::span<const u8> ciphertext, const Mac_contex
     Sha256 outer = fork(outer_state_);
     outer.update(inner_digest);
     return truncate64(outer.finish());
-}
-
-void Hmac_engine::digest_many(std::span<const std::span<const u8>> messages,
-                              std::span<Digest256> out) const
-{
-    require(messages.size() == out.size(), "Hmac_engine::digest_many: size mismatch");
-    std::vector<Bulk_msg>& msgs = bulk_scratch().msgs;
-    msgs.assign(messages.size(), Bulk_msg{});
-    for (std::size_t i = 0; i < messages.size(); ++i) msgs[i].data = messages[i];
-    hmac_many(*backend_, inner_state_, outer_state_, msgs, out);
 }
 
 void Hmac_engine::positional_macs(std::span<const Mac_request> reqs,

@@ -12,12 +12,12 @@
 //                           layer_id || fmap_idx || blk_idx, so any
 //                           re-permutation changes the layer MAC.
 //
-// Tile transfers go through the bulk entry points (digest_many /
-// positional_macs): many independent unit MACs stream through the SHA-256
-// backend's multi-buffer compressor in lock-step waves, reusing the
-// engine's precomputed ipad/opad mid-states.  Bit-identical to calling
-// mac()/positional_mac() per unit -- tests/crypto/sha256_backend_test.cpp
-// holds that equivalence on equal-length and ragged batches.
+// Tile transfers go through the bulk entry point (positional_macs): many
+// independent unit MACs stream through the SHA-256 backend's multi-buffer
+// compressor in lock-step waves, reusing the engine's precomputed ipad/opad
+// mid-states.  Bit-identical to calling positional_mac() per unit --
+// tests/crypto/sha256_backend_test.cpp holds that equivalence on
+// equal-length and ragged batches.
 #pragma once
 
 #include <span>
@@ -64,17 +64,12 @@ public:
     [[nodiscard]] u64 positional_mac(std::span<const u8> ciphertext,
                                      const Mac_context& ctx) const;
 
-    /// Bulk full digests: out[i] = mac(messages[i]), with the independent
-    /// messages advanced in lock-step waves through the backend's
-    /// multi-buffer compressor.  Messages of equal length (the fixed-size
-    /// protection-unit case) batch perfectly; ragged lengths still batch
-    /// for their common prefix of blocks.  `out.size()` must equal
-    /// `messages.size()`.
-    void digest_many(std::span<const std::span<const u8>> messages,
-                     std::span<Digest256> out) const;
-
     /// Bulk truncated positional MACs: out[i] = positional_mac(
-    /// reqs[i].ciphertext, reqs[i].ctx), batched like digest_many.  This is
+    /// reqs[i].ciphertext, reqs[i].ctx), with the independent messages
+    /// advanced in lock-step waves through the backend's multi-buffer
+    /// compressor.  Units of equal length (the fixed-size protection-unit
+    /// case) batch perfectly; ragged lengths still batch for their common
+    /// prefix of blocks.  `out.size()` must equal `reqs.size()`.  This is
     /// the MAC half of Secure_memory's tile write/read path.
     void positional_macs(std::span<const Mac_request> reqs, std::span<u64> out) const;
 

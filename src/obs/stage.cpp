@@ -1,6 +1,8 @@
 #include "obs/stage.h"
 
 #include <array>
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
 
 #include "obs/trace.h"
@@ -49,13 +51,19 @@ constexpr std::array<Stage_names, k_stage_count> k_stage_names{{
 // one blows the <=2% serve-path budget.  Every Nth construction per thread
 // is timed instead: stage histograms stay populated with unbiased interval
 // samples while the other N-1 sites cost one branch and one increment.  Trace
-// recordings are exempt (an explicit opt-in wants every span).
+// recordings are exempt (an explicit opt-in wants every span).  A bad value
+// warns and keeps the default rather than throwing: the first resolution
+// runs inside a span constructor, possibly on a pool worker.
 unsigned resolve_sample_stride()
 {
+    constexpr unsigned k_default = 32;
     const char* env = std::getenv("SEDA_OBS_SAMPLE");
-    if (env == nullptr || *env == '\0') return 32;
-    const long v = std::strtol(env, nullptr, 10);
-    return v >= 1 ? static_cast<unsigned>(v) : 1;
+    if (env == nullptr || *env == '\0') return k_default;
+    if (const auto stride = parse_sample_stride(env)) return *stride;
+    std::fprintf(stderr,
+                 "seda: SEDA_OBS_SAMPLE=\"%s\" is not a stride (an integer >= 1); using %u\n",
+                 env, k_default);
+    return k_default;
 }
 
 #ifndef SEDA_DISABLE_OBS
@@ -98,6 +106,14 @@ unsigned stage_sample_stride()
 {
     static const unsigned stride = resolve_sample_stride();
     return stride;
+}
+
+std::optional<unsigned> parse_sample_stride(std::string_view text)
+{
+    unsigned v = 0;
+    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+    if (ec != std::errc() || end != text.data() + text.size() || v == 0) return std::nullopt;
+    return v;
 }
 
 const char* stage_metric_name(Stage s)

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <atomic>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -69,8 +70,15 @@ inline constexpr std::size_t k_stage_count = static_cast<std::size_t>(Stage::cou
 [[nodiscard]] Histogram stage_histogram(Stage s);
 
 /// The 1-in-N metric sampling stride for Stage_span / Phase_timer
-/// (SEDA_OBS_SAMPLE, default 32; trace recordings capture every span).
+/// (SEDA_OBS_SAMPLE, default 32; trace recordings capture every span).  A
+/// value parse_sample_stride rejects keeps the default, with one warning on
+/// stderr.
 [[nodiscard]] unsigned stage_sample_stride();
+
+/// A SEDA_OBS_SAMPLE value as a stride: the whole string as a decimal
+/// unsigned >= 1, or nullopt (empty, signed, trailing junk, 0, or too big
+/// for an unsigned).
+[[nodiscard]] std::optional<unsigned> parse_sample_stride(std::string_view text);
 
 #ifdef SEDA_DISABLE_OBS
 

@@ -74,7 +74,7 @@ void emit_blocks(std::vector<dram::Request>& out, const accel::Access_range& r,
 /// are demand data (writes stay writes), the rest amplification fetched only
 /// to complete the unit.  One resize + tight fill per unit instead of
 /// per-block push_back -- the trace-level analogue of the crypto layer's
-/// bulk keystream, shared by every unit-granular scheme.
+/// batched base OTPs, shared by every unit-granular scheme.
 void append_unit_requests(std::vector<dram::Request>& out, Addr unit_addr,
                           Bytes unit_bytes, Addr demand_lo, Addr demand_hi,
                           bool is_write);

@@ -111,21 +111,28 @@ TEST(Baes, OtpsManyMatchesScalarOtpLoop)
         EXPECT_EQ(bases[i], baes.ctr().otp(reqs[i].pa, reqs[i].vn)) << "unit " << i;
 }
 
-TEST(Baes, CryptWithBaseMatchesCryptWith)
+TEST(Baes, CryptWithBaseMatchesCrypt)
 {
+    // The batch path -- every base OTP from one otps_many call, then the
+    // fan-out per unit through one reused pad scratch -- must equal crypt()
+    // unit by unit.  64 B = the protected-unit case; 512 B exercises the
+    // derived banks, and the 100 B unit after it shrinks the scratch again.
     const Baes_engine baes(test_key());
     Rng rng(0xC0DE);
-    // 64 B = the protected-unit case; 512 B exercises the derived banks.
-    for (const std::size_t n : {64u, 100u, 512u}) {
-        std::vector<u8> via_crypt(n), via_base(n);
-        for (std::size_t i = 0; i < n; ++i) via_crypt[i] = via_base[i] = rng.next_byte();
-        const Addr pa = 0xE000;
-        const u64 vn = 7;
-        std::vector<Block16> pads;
-        baes.crypt_with(via_crypt, pa, vn, pads);
-        const Block16 base = baes.ctr().otp(pa, vn);
-        baes.crypt_with_base(via_base, pa, vn, base, pads);
-        EXPECT_EQ(via_base, via_crypt) << n;
+    const std::vector<std::size_t> sizes = {64, 512, 100, 64};
+    std::vector<Baes_engine::Otp_request> reqs;
+    for (std::size_t i = 0; i < sizes.size(); ++i) reqs.push_back({0xE000 + 0x200 * i, 7 + i});
+    std::vector<Block16> bases(reqs.size());
+    baes.otps_many(reqs, bases);
+
+    std::vector<Block16> pads;
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+        std::vector<u8> via_crypt(sizes[i]);
+        for (auto& b : via_crypt) b = rng.next_byte();
+        std::vector<u8> via_base = via_crypt;
+        baes.crypt(via_crypt, reqs[i].pa, reqs[i].vn);
+        baes.crypt_with_base(via_base, reqs[i].pa, reqs[i].vn, bases[i], pads);
+        EXPECT_EQ(via_base, via_crypt) << "unit " << i << " of " << sizes[i] << " B";
     }
 }
 

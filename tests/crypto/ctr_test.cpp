@@ -168,65 +168,5 @@ TEST(AesCtr, DifferentPaGivesDifferentCiphertext)
     EXPECT_NE(a, b);  // spatial uniqueness
 }
 
-// --- bulk keystream ----------------------------------------------------------
-
-class AesCtrBulkTest : public ::testing::TestWithParam<Aes_backend_kind> {};
-
-TEST_P(AesCtrBulkTest, BulkMatchesStandardOnOddLengths)
-{
-    Rng rng(0xB01C);
-    std::vector<u8> key(16);
-    for (auto& b : key) b = rng.next_byte();
-    const Aes_ctr ctr(key, GetParam());
-
-    // Ragged lengths around the 16 B segment size, one batch boundary
-    // (32 blocks = 512 B) and a multi-batch tile.
-    for (const std::size_t n : {1u, 15u, 16u, 17u, 31u, 100u, 511u, 512u, 513u, 4096u}) {
-        std::vector<u8> plain(n);
-        for (auto& b : plain) b = rng.next_byte();
-        std::vector<u8> blockwise = plain;
-        std::vector<u8> bulk = plain;
-        ctr.crypt_standard(blockwise, 0x7000, 42);
-        ctr.crypt_bulk(bulk, 0x7000, 42);
-        EXPECT_EQ(bulk, blockwise) << "length " << n;
-
-        // CTR is an involution: bulk decrypt recovers the plaintext.
-        ctr.crypt_bulk(bulk, 0x7000, 42);
-        EXPECT_EQ(bulk, plain) << "length " << n;
-    }
-}
-
-TEST_P(AesCtrBulkTest, BulkHandlesVnWraparound)
-{
-    std::vector<u8> key(16, 0x2B);
-    const Aes_ctr ctr(key, GetParam());
-    std::vector<u8> blockwise(64, 0x5A);
-    std::vector<u8> bulk = blockwise;
-    // VN at the top of the 64-bit space: segment counters wrap mod 2^64.
-    ctr.crypt_standard(blockwise, 0x100, ~0ULL - 1);
-    ctr.crypt_bulk(bulk, 0x100, ~0ULL - 1);
-    EXPECT_EQ(bulk, blockwise);
-}
-
-INSTANTIATE_TEST_SUITE_P(Kinds, AesCtrBulkTest,
-                         ::testing::Values(Aes_backend_kind::scalar,
-                                           Aes_backend_kind::ttable),
-                         [](const auto& info) { return to_string(info.param); });
-
-TEST(AesCtrBulk, BackendsProduceIdenticalCiphertext)
-{
-    Rng rng(0xFEED);
-    std::vector<u8> key(32);
-    for (auto& b : key) b = rng.next_byte();
-    const Aes_ctr scalar(key, Aes_backend_kind::scalar);
-    const Aes_ctr ttable(key, Aes_backend_kind::ttable);
-    std::vector<u8> a(4096);
-    for (auto& b : a) b = rng.next_byte();
-    std::vector<u8> b = a;
-    scalar.crypt_bulk(a, 0x9000, 7);
-    ttable.crypt_bulk(b, 0x9000, 7);
-    EXPECT_EQ(a, b);
-}
-
 }  // namespace
 }  // namespace seda::crypto

@@ -1,10 +1,10 @@
 // Cross-validation of the pluggable SHA-256 backends and the bulk HMAC
 // pipeline: every backend must produce bit-identical digests (NIST vectors
 // + randomized lengths), compress_many must equal the serial loop, and
-// digest_many / positional_macs must equal a loop of single-message calls
-// on equal-length and ragged batches alike.  Backend kinds are enumerated
-// at runtime -- hardware kinds skip with a message when CPUID lacks the
-// feature, so the binary is exhaustive on SHA-NI hosts and green elsewhere.
+// positional_macs must equal a loop of single-unit calls on equal-length and
+// ragged batches alike.  Backend kinds are enumerated at runtime -- hardware
+// kinds skip with a message when CPUID lacks the feature, so the binary is
+// exhaustive on SHA-NI hosts and green elsewhere.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -152,7 +152,7 @@ TEST(Sha256Backend, MultiBlockCompressMatchesBlockwise)
     }
 }
 
-// ---- bulk HMAC ≡ loop-of-digest --------------------------------------------
+// ---- bulk HMAC ≡ loop of single MACs ---------------------------------------
 
 class HmacBulkTest : public ::testing::TestWithParam<Sha256_backend_kind> {
 protected:
@@ -164,62 +164,54 @@ protected:
     }
 };
 
-TEST_P(HmacBulkTest, DigestManyEqualsLoopOnFixedSizeUnits)
+TEST_P(HmacBulkTest, PositionalMacsEqualLoop)
 {
-    const Hmac_engine engine(random_bytes(16, 1), GetParam());
-    constexpr std::size_t k_units = 37;  // not a lane multiple on purpose
-    std::vector<std::vector<u8>> units;
-    std::vector<std::span<const u8>> messages;
-    for (std::size_t i = 0; i < k_units; ++i)
-        units.push_back(random_bytes(64, 100 + i));
-    for (const auto& u : units) messages.emplace_back(u);
+    // 64 B is the unit-MAC baseline; 128-512 B are the optBlk sizes SeDA's
+    // integrity scheme sends through the same call.
+    const Hmac_engine engine(random_bytes(16, 3), GetParam());
+    for (const std::size_t unit_bytes : {64u, 128u, 256u, 512u}) {
+        std::vector<std::vector<u8>> units;
+        std::vector<Mac_request> reqs;
+        for (std::size_t i = 0; i < 21; ++i)  // not a lane multiple on purpose
+            units.push_back(random_bytes(unit_bytes, 300 + i));
+        for (std::size_t i = 0; i < units.size(); ++i) {
+            const Mac_context ctx{0x1000 + unit_bytes * i, i + 1, static_cast<u32>(i % 5),
+                                  static_cast<u32>(i % 3), static_cast<u32>(i)};
+            reqs.push_back({units[i], ctx});
+        }
 
-    std::vector<Digest256> bulk(k_units);
-    engine.digest_many(messages, bulk);
-    for (std::size_t i = 0; i < k_units; ++i)
-        EXPECT_EQ(bulk[i], engine.mac(units[i])) << "unit " << i;
+        std::vector<u64> bulk(reqs.size());
+        engine.positional_macs(reqs, bulk);
+        for (std::size_t i = 0; i < reqs.size(); ++i)
+            EXPECT_EQ(bulk[i], engine.positional_mac(reqs[i].ciphertext, reqs[i].ctx))
+                << unit_bytes << " B unit " << i;
+    }
 }
 
-TEST_P(HmacBulkTest, DigestManyEqualsLoopOnRaggedLengths)
+TEST_P(HmacBulkTest, PositionalMacsEqualLoopOnRaggedLengths)
 {
+    // Ragged units drop out of later waves, and the 28 B position suffix
+    // decides where each unit's tail and padding fall.
     const Hmac_engine engine(random_bytes(16, 2), GetParam());
     Rng rng(0x7A66ED);
     std::vector<std::vector<u8>> units;
-    std::vector<std::span<const u8>> messages;
+    std::vector<Mac_request> reqs;
     for (std::size_t i = 0; i < 24; ++i)
         units.push_back(random_bytes(rng.next_u64() % 300, 200 + i));
-    for (const auto& u : units) messages.emplace_back(u);
-
-    std::vector<Digest256> bulk(units.size());
-    engine.digest_many(messages, bulk);
     for (std::size_t i = 0; i < units.size(); ++i)
-        EXPECT_EQ(bulk[i], engine.mac(units[i])) << "unit " << i << " len "
-                                                 << units[i].size();
-}
-
-TEST_P(HmacBulkTest, PositionalMacsEqualLoop)
-{
-    const Hmac_engine engine(random_bytes(16, 3), GetParam());
-    std::vector<std::vector<u8>> units;
-    std::vector<Mac_request> reqs;
-    for (std::size_t i = 0; i < 21; ++i) units.push_back(random_bytes(64, 300 + i));
-    for (std::size_t i = 0; i < units.size(); ++i) {
-        const Mac_context ctx{0x1000 + 64 * i, i + 1, static_cast<u32>(i % 5),
-                              static_cast<u32>(i % 3), static_cast<u32>(i)};
-        reqs.push_back({units[i], ctx});
-    }
+        reqs.push_back({units[i], Mac_context{0x4000 + 512 * i, i + 1, 2,
+                                              static_cast<u32>(i % 4), static_cast<u32>(i)}});
 
     std::vector<u64> bulk(reqs.size());
     engine.positional_macs(reqs, bulk);
     for (std::size_t i = 0; i < reqs.size(); ++i)
         EXPECT_EQ(bulk[i], engine.positional_mac(reqs[i].ciphertext, reqs[i].ctx))
-            << "unit " << i;
+            << "unit " << i << " len " << units[i].size();
 }
 
 TEST_P(HmacBulkTest, EmptyBatchIsANoop)
 {
     const Hmac_engine engine(random_bytes(16, 4), GetParam());
-    engine.digest_many({}, {});
     engine.positional_macs({}, {});
 }
 

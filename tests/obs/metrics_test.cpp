@@ -5,8 +5,10 @@
 // process-wide, and under the TSan job several Obs* tests share one process.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "common/error.h"
 #include "obs/export.h"
@@ -177,6 +179,34 @@ TEST(ObsStageSpan, CoarseStagesAreExemptFromSampling)
         Stage_span span(Stage::infer_layer, "l");
     }
     EXPECT_EQ(count_of(), before + 3);
+}
+
+TEST(ObsStageSpan, SampleStrideParsesWholeUnsignedOnly)
+{
+    // SEDA_OBS_SAMPLE is untrusted input: anything but a whole decimal
+    // unsigned >= 1 is rejected, and the caller keeps the default.
+    const struct {
+        std::string_view text;
+        std::optional<unsigned> stride;
+    } cases[] = {
+        {"1", 1u},
+        {"32", 32u},
+        {"007", 7u},
+        {"4294967295", 4294967295u},
+        {"4294967296", std::nullopt},  // 2^32: narrowed from a wider type, stride 0
+        {"99999999999999999999", std::nullopt},
+        {"0", std::nullopt},
+        {"", std::nullopt},
+        {"-1", std::nullopt},
+        {"+8", std::nullopt},
+        {" 8", std::nullopt},
+        {"8 ", std::nullopt},
+        {"abc", std::nullopt},
+        {"32x", std::nullopt},
+        {"0x20", std::nullopt},
+    };
+    for (const auto& c : cases)
+        EXPECT_EQ(parse_sample_stride(c.text), c.stride) << "'" << c.text << "'";
 }
 
 TEST(ObsStageSpan, PhaseTimerRecordsEachLap)
