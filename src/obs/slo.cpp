@@ -1,6 +1,7 @@
 #include "obs/slo.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <ostream>
 #include <utility>
@@ -69,6 +70,9 @@ Slo_spec parse_slo(std::string_view spec)
     }
     out.threshold = parse_double(spec, thresh, "threshold") * unit;
     if (!(out.threshold > 0.0)) bad_spec(spec, "threshold must be positive");
+    // from_chars takes "inf", and a huge finite value overflows once scaled
+    // to microseconds; either way the objective could never be missed.
+    if (!std::isfinite(out.threshold)) bad_spec(spec, "threshold must be finite");
 
     out.target = parse_double(spec, spec.substr(c2 + 1), "target");
     if (!(out.target > 0.0 && out.target < 1.0))

@@ -4,17 +4,6 @@
 
 namespace seda::runtime {
 
-namespace {
-
-// Batches below this many units run inline on the caller's thread: a pool
-// hop (one submit + future join per shard) costs more than the crypto of a
-// handful of 64 B units, and the serving layer's coalescing windows would
-// otherwise pay that hop per dispatch.  Purely a scheduling choice -- the
-// bit-identical-to-serial contract holds on both sides of the threshold.
-constexpr std::size_t k_inline_batch_units = 64;
-
-}  // namespace
-
 Secure_session::Secure_session(std::span<const u8> enc_key, std::span<const u8> mac_key,
                                core::Secure_mem_config cfg, std::size_t workers)
     : mem_(enc_key, mac_key, cfg),
@@ -52,16 +41,10 @@ void Secure_session::write_units(std::span<const core::Secure_memory::Unit_write
     // batch order -- so a bad entry throws before any worker starts.
     const auto slots = mem_.stage_writes(batch);
 
-    if (slots.size() <= k_inline_batch_units) {
-        Worker_state& ws = workers_.front();
-        core::Secure_memory::encrypt_slots(slots, ws.baes, ws.hmac, ws.scratch);
-        return;
-    }
-
-    pool_->parallel_for(slots.size(), [&](std::size_t worker, Index_range range) {
-        Worker_state& ws = workers_[worker];
-        // Whole-shard bulk phase: B-AES per slot, then every MAC of the
-        // shard through the multi-buffer HMAC pipeline in one call
+    pool_->parallel_for(slots.size(), [&](std::size_t executor, Index_range range) {
+        Worker_state& ws = workers_[executor];
+        // Whole-chunk bulk phase: B-AES per slot, then every MAC of the
+        // chunk through the multi-buffer HMAC pipeline in one call
         // (superseded entries are skipped inside).
         core::Secure_memory::encrypt_slots(slots.subspan(range.begin, range.size()),
                                            ws.baes, ws.hmac, ws.scratch);
@@ -79,17 +62,10 @@ std::vector<core::Verify_status> Secure_session::read_units(
     mem_.pull_dram_tap();
 
     std::vector<core::Verify_status> statuses(batch.size());
-
-    if (batch.size() <= k_inline_batch_units) {
-        Worker_state& ws = workers_.front();
-        mem_.read_units_with(batch, ws.baes, ws.hmac, ws.scratch, statuses);
-        return statuses;
-    }
-
-    pool_->parallel_for(batch.size(), [&](std::size_t worker, Index_range range) {
-        Worker_state& ws = workers_[worker];
-        // Shard-wide bulk verify-and-decrypt: expected MACs batch through
-        // the multi-buffer pipeline, statuses land in this shard's slice.
+    pool_->parallel_for(batch.size(), [&](std::size_t executor, Index_range range) {
+        Worker_state& ws = workers_[executor];
+        // Chunk-wide bulk verify-and-decrypt: expected MACs batch through
+        // the multi-buffer pipeline, statuses land in this chunk's slice.
         mem_.read_units_with(batch.subspan(range.begin, range.size()), ws.baes,
                              ws.hmac, ws.scratch,
                              std::span<core::Verify_status>(statuses)

@@ -1,4 +1,4 @@
-// Sharded, multi-worker front end over core::Secure_memory.
+// Parallel, multi-worker front end over core::Secure_memory.
 //
 // A tile transfer is embarrassingly parallel on the crypto axis: every unit
 // is encrypted/MAC'd (or verified/decrypted) independently.  What is *not*
@@ -8,42 +8,45 @@
 //   write_units:  serial stage (Secure_memory::stage_writes -- VN per entry,
 //                 cell per address, duplicate entries superseded exactly as
 //                 serial ordering would) then the expensive crypto phase
-//                 fanned across contiguous shards, each shard running
+//                 fanned across contiguous chunks, each chunk running
 //                 batched base OTPs, B-AES per unit and one bulk
 //                 multi-buffer HMAC call for its whole slot range
 //                 (encrypt_slots).
-//   read_units:   no staging needed; each shard bulk-verifies and decrypts
+//   read_units:   no staging needed; each chunk bulk-verifies and decrypts
 //                 its contiguous range via the const read_units_with path.
 //
-// Shards run on the calling thread plus every pool worker
-// (Thread_pool::parallel_for runs shard 0 on the caller).  Small batches
-// (the serving layer's coalescing windows) skip the pool and run inline on
-// the caller's thread -- the pool hop costs more than the crypto of a few
-// dozen units; output is identical either way.
+// Chunks run on the calling thread plus every pool worker: the caller and
+// the pool's helpers claim them from one counter (Thread_pool::
+// parallel_for).  A batch under 128 units -- a serving-layer flush of a
+// few dozen requests, say -- is one chunk and runs on the caller's thread
+// with no task and no allocation, so there is one dispatch path for every
+// batch size.
 //
-// Determinism contract: shard boundaries come from
-// shard_ranges(n, workers + 1) -- pure arithmetic, independent of
-// scheduling -- and every unit's ciphertext/MAC depends only on its own
-// slot, so the resulting memory state and statuses are bit-for-bit
-// identical to the serial batch path at ANY worker count -- including
-// which units of a tampered tile report mac_mismatch / replay_detected
+// Determinism contract: chunk bounds are arithmetic on (n, workers) --
+// shard_ranges(n, clamp(n / 64, 1, 8 * (workers + 1))) -- and which
+// executor runs a chunk depends on scheduling, but neither is observable:
+// every unit's ciphertext/MAC depends only on its own slot, so the
+// resulting memory state and statuses are bit-for-bit identical to the
+// serial batch path at ANY worker count -- including which units of a
+// tampered tile report mac_mismatch / replay_detected
 // (tests/runtime/secure_session_test.cpp holds this against the serial
 // path on ragged sizes).
 //
-// Thread-safety: every shard owns its own Worker_state -- one per pool
-// worker plus one for the caller's shard 0, each a Baes_engine /
-// Hmac_engine pair (keyed with the session keys) plus the bulk crypto
-// scratch, reused across batches -- so no crypto state is shared at all and
-// the steady-state batch path allocates nothing.  The session itself is
-// thread-compatible like its substrate: one batch call at a time per
-// session; the attacker interface stays available through memory().
+// Thread-safety: every executor owns its own Worker_state -- one for the
+// caller (executor 0) plus one per pool worker (executor 1 + w), each a
+// Baes_engine / Hmac_engine pair (keyed with the session keys) plus the
+// bulk crypto scratch, reused across batches -- so no crypto state is
+// shared at all and the steady-state batch path allocates no crypto
+// scratch.  The session itself is thread-compatible like its substrate:
+// one batch call at a time per session; the attacker interface stays
+// available through memory().
 //
 // Pool sharing: a session either owns its Thread_pool (the standalone
 // constructors) or borrows one (the serving layer runs one pool under many
 // tenant sessions).  Distinct sessions sharing a pool may dispatch
-// concurrently -- each session's Worker_state array is private, and the
-// pool's queue is MPMC -- as long as no batch call is issued *from* a pool
-// task (a blocked parallel_for inside a saturated pool can deadlock).
+// concurrently -- each session's Worker_state array is private, and a
+// caller that finds the workers busy with another session's chunks runs
+// its own chunks itself instead of waiting for them.
 #pragma once
 
 #include <cstddef>
@@ -68,7 +71,7 @@ public:
 
     /// Shares `pool` instead of owning one; `pool` must outlive the
     /// session.  Worker_states as the owning constructor builds them: one
-    /// per pool worker plus one for the caller.
+    /// for the caller plus one per pool worker.
     Secure_session(std::span<const u8> enc_key, std::span<const u8> mac_key,
                    core::Secure_mem_config cfg, Thread_pool& pool);
 
@@ -77,7 +80,7 @@ public:
     [[nodiscard]] core::Secure_memory& memory() { return mem_; }
     [[nodiscard]] const core::Secure_memory& memory() const { return mem_; }
 
-    /// Pool workers; bulk calls shard over these plus the calling thread.
+    /// Pool workers; bulk calls spread over these plus the calling thread.
     [[nodiscard]] std::size_t workers() const { return pool_->size(); }
 
     /// Tags this session's flight-recorder flush events with a tenant id
@@ -85,17 +88,17 @@ public:
     /// forensic record attributes bus activity per tenant.
     void set_flight_tenant(u32 tenant) { flight_tenant_ = tenant; }
 
-    /// Sharded batch write; state afterwards is bit-identical to
+    /// Parallel batch write; state afterwards is bit-identical to
     /// memory().write_units(batch).
     void write_units(std::span<const core::Secure_memory::Unit_write> batch);
 
-    /// Sharded batch read; statuses and plaintext are identical to
+    /// Parallel batch read; statuses and plaintext are identical to
     /// memory().read_units(batch), with per-unit tamper/replay detection.
     [[nodiscard]] std::vector<core::Verify_status> read_units(
         std::span<const core::Secure_memory::Unit_read> batch);
 
 private:
-    /// Shared-nothing per-shard state: engines keyed with the session keys
+    /// Shared-nothing per-executor state: engines keyed with the session keys
     /// plus the bulk crypto scratch, which persists across batches so the
     /// steady-state path is allocation-free.
     struct Worker_state {
@@ -108,7 +111,7 @@ private:
 
     core::Secure_memory mem_;
     u32 flight_tenant_ = 0xFFFFFFFFu;      ///< obs::k_flight_no_tenant until tagged
-    std::vector<Worker_state> workers_;    ///< [0]: the caller; then one per pool worker
+    std::vector<Worker_state> workers_;    ///< by executor: [0] the caller, [1 + w] pool worker w
     std::unique_ptr<Thread_pool> owned_pool_;  ///< null when the pool is shared
     Thread_pool* pool_;                    ///< owned_pool_.get() or the shared pool
 };

@@ -12,7 +12,7 @@
 // order is guaranteed per queue, but with multiple workers popping, task
 // *completion* order is unspecified -- determinism must come from the
 // caller (see parallel_suite.h's ordered merge and secure_session.h's
-// fixed shard geometry).
+// per-unit independence).
 #pragma once
 
 #include <condition_variable>

@@ -1,25 +1,27 @@
-// Fixed-size worker pool with futures-based join and exception propagation.
+// Fixed-size worker pool with futures-based submit and a work-sharing
+// parallel_for.
 //
 // This is the execution substrate for everything parallel in the repo: the
 // suite driver fans (scheme x model x NPU) cells across it, Secure_session
-// shards tile crypto across it, and future scaling work (request serving,
+// spreads tile crypto across it, and future scaling work (request serving,
 // multi-tenant traffic) is expected to reuse it rather than spawn ad-hoc
 // threads.  Design points:
 //
 //   * submit() returns a std::future; an exception thrown by the task is
 //     captured there and rethrows at .get(), so worker threads never die.
-//   * parallel_for() splits work over the workers *plus the calling
-//     thread*: the caller runs shard 0 instead of sitting blocked in the
-//     join.  It joins *every* shard before rethrowing the first failure --
-//     callers' stack frames referenced by sibling shards must stay alive
-//     until all shards stop touching them.
+//   * parallel_for() cuts [0, n) into chunks of at least 64 items and lets
+//     the calling thread and up to size() helper tasks claim them from one
+//     atomic counter.  The caller claims too, so it never sits blocked
+//     behind helpers queued after other callers' work: whatever no helper
+//     has claimed, the caller runs.  It returns once every chunk has
+//     finished -- the body references the caller's stack frame -- and only
+//     then rethrows the lowest-indexed chunk's failure.
 //   * submit() never runs a task inline (short of shutdown): a pool of one
 //     worker still runs it on that worker, so code behaves identically --
 //     just serially -- at jobs=1.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <future>
 #include <memory>
 #include <thread>
@@ -32,10 +34,9 @@
 namespace seda::runtime {
 
 /// Balanced contiguous [begin, end) shards of `n` items over at most
-/// `shards` workers: the first `n % shards` ranges get one extra item and
-/// empty ranges are never produced.  parallel_for uses it with
-/// `shards = size() + 1`, so shard boundaries (and thus Secure_session's
-/// per-shard engine pairing) are pure arithmetic on the item and worker
+/// `shards` parts: the first `n % shards` ranges get one extra item and
+/// empty ranges are never produced.  parallel_for cuts its chunks with the
+/// same arithmetic, so chunk bounds depend only on the item and worker
 /// counts.
 struct Index_range {
     std::size_t begin = 0;
@@ -84,16 +85,34 @@ public:
         return future;
     }
 
-    /// Splits [0, n) into shard_ranges(n, size() + 1) and runs
-    /// `body(shard_index, range)` for each: shard 0 on the calling thread,
-    /// the rest on the pool, returning once every shard has finished.  The
-    /// first shard exception (in shard order) is rethrown after the join.
-    /// Calling it from a pool task can still deadlock a saturated pool.
-    void parallel_for(std::size_t n,
-                      const std::function<void(std::size_t, Index_range)>& body);
+    /// Runs `body(executor, range)` over chunks that cover [0, n) exactly
+    /// once: shard_ranges(n, clamp(n / 64, 1, 8 * (size() + 1))), so every
+    /// chunk holds at least 64 items and a call under 128 items is one
+    /// chunk, run inline with no task and no allocation.  Executor 0 is the
+    /// calling thread and executor 1 + w is pool worker w.  Within a call
+    /// each executor runs its chunks one at a time, so state indexed by
+    /// executor needs no lock; which executor runs which chunk depends on
+    /// scheduling.  Returns once
+    /// every chunk has finished, then rethrows the exception of the
+    /// lowest-indexed failing chunk.  The caller never waits for a helper
+    /// that has not started, so a call from a pool task cannot deadlock.
+    template <typename Body>
+    void parallel_for(std::size_t n, Body&& body)
+    {
+        using Fn = std::remove_reference_t<Body>;
+        run_chunks(n,
+                   [](void* erased, std::size_t executor, Index_range range) {
+                       (*static_cast<Fn*>(erased))(executor, range);
+                   },
+                   const_cast<void*>(static_cast<const void*>(std::addressof(body))));
+    }
 
 private:
-    void worker_loop();
+    using Chunk_fn = void (*)(void* body, std::size_t executor, Index_range range);
+    struct Chunk_job;
+
+    void run_chunks(std::size_t n, Chunk_fn fn, void* body);
+    void worker_loop(std::size_t worker);
 
     Task_queue queue_;
     std::vector<std::thread> workers_;

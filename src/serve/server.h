@@ -23,10 +23,9 @@
 //
 // Roles per thread: any number of client threads block in submit() (queue
 // backpressure) and on their futures (closed-loop); ONE scheduler thread
-// owns batching and stats and runs shard 0 of its own large flushes; pool
-// workers only ever run shard crypto.  The scheduler calls the sessions
-// from outside the pool, which is what the no-parallel_for-from-a-pool-task
-// rule requires.
+// owns batching and stats and runs every flush under 128 units itself; on
+// larger flushes it claims chunks alongside the pool workers, which only
+// ever run chunk crypto.
 //
 // Stats discipline: the scheduler accumulates each dispatch into a local
 // delta and merges under the mutex, so submitters never contend with the

@@ -5,10 +5,13 @@
 // process-wide, and under the TSan job several Obs* tests share one process.
 #include <gtest/gtest.h>
 
+#include <future>
+#include <latch>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/error.h"
 #include "obs/export.h"
@@ -24,6 +27,24 @@ namespace {
 /// SEDA_OBS=0; these tests exercise the live paths only.
 #define SKIP_UNLESS_OBS_LIVE() \
     if (!enabled()) GTEST_SKIP() << "observability disabled in this build/env"
+
+/// Splits [0, n) into one range per pool worker and runs `record(range)`
+/// on every worker: each task holds at a start latch until all of them
+/// have started, so no worker can take two and, for n >= pool.size(),
+/// every worker records.
+template <typename Record>
+void record_on_every_worker(runtime::Thread_pool& pool, std::size_t n, Record record)
+{
+    const auto ranges = runtime::shard_ranges(n, pool.size());
+    std::latch start(static_cast<std::ptrdiff_t>(ranges.size()));
+    std::vector<std::future<void>> tasks;
+    for (const auto range : ranges)
+        tasks.push_back(pool.submit([&start, &record, range] {
+            start.arrive_and_wait();
+            record(range);
+        }));
+    for (auto& t : tasks) t.get();
+}
 
 u64 counter_value(const Snapshot& snap, std::string_view name)
 {
@@ -112,7 +133,7 @@ TEST(ObsRegistry, ConcurrentShardsMergeExactly)
 
     constexpr std::size_t k_items = 40000;
     runtime::Thread_pool pool(8);
-    pool.parallel_for(k_items, [&](std::size_t, runtime::Index_range range) {
+    record_on_every_worker(pool, k_items, [&](runtime::Index_range range) {
         for (std::size_t i = range.begin; i < range.end; ++i) {
             c.add();
             h.record(static_cast<double>(i % 97) + 1.0);
@@ -137,7 +158,7 @@ TEST(ObsRegistry, ValuesSurviveRecordingThreadExit)
         // A short-lived pool: its workers record, then exit and donate
         // their cells back; the values must still scrape.
         runtime::Thread_pool pool(4);
-        pool.parallel_for(1000, [&](std::size_t, runtime::Index_range range) {
+        record_on_every_worker(pool, 1000, [&](runtime::Index_range range) {
             for (std::size_t i = range.begin; i < range.end; ++i) c.add();
         });
     }

@@ -56,6 +56,9 @@ TEST(ObsSloParse, RejectsMalformedSpecs)
     EXPECT_THROW((void)parse_slo("f:p101<500us:0.9"), Seda_error);       // pct > 100
     EXPECT_THROW((void)parse_slo("f:p99<0us:0.9"), Seda_error);          // zero thresh
     EXPECT_THROW((void)parse_slo("f:p99<500xx:0.9"), Seda_error);        // bad unit
+    EXPECT_THROW((void)parse_slo("f:p99<infus:0.9"), Seda_error);        // infinite
+    EXPECT_THROW((void)parse_slo("f:p99<infms:0.9"), Seda_error);        // infinite
+    EXPECT_THROW((void)parse_slo("f:p99<1e308s:0.9"), Seda_error);       // overflows in us
     EXPECT_THROW((void)parse_slo("f:p99<500us:1.0"), Seda_error);        // target = 1
     EXPECT_THROW((void)parse_slo("f:p99<500us:0"), Seda_error);          // target = 0
     EXPECT_THROW((void)parse_slo("f:p99<500us:lots"), Seda_error);       // non-numeric
