@@ -436,8 +436,6 @@ Campaign_result run_campaign(const Campaign_config& cfg)
         serve::Server_config scfg;
         scfg.tenants = initial_tenants;
         scfg.workers = cfg.jobs;
-        scfg.queue_capacity = cfg.queue_capacity;
-        scfg.max_batch = cfg.max_batch;
         scfg.max_wait_us = cfg.max_wait_us;
         scfg.mem.unit_bytes = k_unit;
         serve::Server server(serve::demo_master_key(cfg.seed, 0xA77AC2ULL),

@@ -1,4 +1,5 @@
-// Lightweight statistics helpers shared by the simulators and benches.
+// Exact sample percentiles: the nearest-rank reference that the bucketed
+// Log_histogram (obs/histogram.h) is tested against.
 #pragma once
 
 #include <algorithm>
@@ -10,58 +11,6 @@
 #include "common/types.h"
 
 namespace seda {
-
-/// Running summary of a stream of doubles (count / mean / min / max).
-class Running_stats {
-public:
-    void add(double v)
-    {
-        ++n_;
-        sum_ += v;
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-
-    [[nodiscard]] u64 count() const { return n_; }
-    [[nodiscard]] double sum() const { return sum_; }
-    [[nodiscard]] double mean() const { return n_ == 0 ? 0.0 : sum_ / static_cast<double>(n_); }
-    [[nodiscard]] double min() const { return n_ == 0 ? 0.0 : min_; }
-    [[nodiscard]] double max() const { return n_ == 0 ? 0.0 : max_; }
-
-private:
-    u64 n_ = 0;
-    double sum_ = 0.0;
-    double min_ = std::numeric_limits<double>::infinity();
-    double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Arithmetic mean of a span (0 for empty).
-[[nodiscard]] inline double mean_of(std::span<const double> xs)
-{
-    if (xs.empty()) return 0.0;
-    double s = 0.0;
-    for (double x : xs) s += x;
-    return s / static_cast<double>(xs.size());
-}
-
-/// Geometric mean of a span of positive values (0 for empty).
-[[nodiscard]] inline double geomean_of(std::span<const double> xs)
-{
-    if (xs.empty()) return 0.0;
-    double log_sum = 0.0;
-    for (double x : xs) {
-        assert(x > 0.0);
-        log_sum += std::log(x);
-    }
-    return std::exp(log_sum / static_cast<double>(xs.size()));
-}
-
-/// Relative overhead of `value` vs `base` in percent: 100*(value/base - 1).
-[[nodiscard]] inline double overhead_pct(double value, double base)
-{
-    assert(base > 0.0);
-    return 100.0 * (value / base - 1.0);
-}
 
 /// The `pct`-th percentile (0..100) of an ALREADY SORTED ascending sample,
 /// nearest-rank method (0 for empty).  Sorted-input form so one sort serves
@@ -82,33 +31,6 @@ private:
     std::vector<double> sorted(xs.begin(), xs.end());
     std::sort(sorted.begin(), sorted.end());
     return percentile_sorted(sorted, pct);
-}
-
-/// Linearly interpolated percentile (numpy's default): pos = pct/100*(n-1),
-/// blending the two straddling samples.  Nearest-rank overstates the tail of
-/// small samples -- p99 of 100 uniform samples lands on the literal maximum,
-/// where interpolation reads 99% of the way to it -- so human-readable rows
-/// use this form; tests that assert on exact sample members keep
-/// percentile_sorted.
-[[nodiscard]] inline double percentile_interp_sorted(std::span<const double> sorted,
-                                                     double pct)
-{
-    if (sorted.empty()) return 0.0;
-    assert(std::is_sorted(sorted.begin(), sorted.end()));
-    assert(pct >= 0.0 && pct <= 100.0);
-    const double pos = pct / 100.0 * static_cast<double>(sorted.size() - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    if (lo + 1 >= sorted.size()) return sorted.back();
-    const double frac = pos - static_cast<double>(lo);
-    return sorted[lo] + (sorted[lo + 1] - sorted[lo]) * frac;
-}
-
-/// Interpolated percentile of an unsorted sample (copies and sorts).
-[[nodiscard]] inline double percentile_interp_of(std::span<const double> xs, double pct)
-{
-    std::vector<double> sorted(xs.begin(), xs.end());
-    std::sort(sorted.begin(), sorted.end());
-    return percentile_interp_sorted(sorted, pct);
 }
 
 }  // namespace seda

@@ -221,9 +221,9 @@ public:
     void set_dram_tap(dram::Dram_tap* tap) { tap_.store(tap, std::memory_order_release); }
 
     /// Gives an installed tap its injection window.  Called by the bulk
-    /// entry points (runtime::Secure_session) and the serving layer's
-    /// per-request fallback at the head of each flush, before any unit is
-    /// staged or verified; near-free when no tap is installed.
+    /// entry points (runtime::Secure_session) at the head of each flush,
+    /// before any unit is staged or verified; near-free when no tap is
+    /// installed.
     void pull_dram_tap()
     {
         if (dram::Dram_tap* tap = tap_.load(std::memory_order_acquire)) tap->pull();

@@ -5,12 +5,13 @@
 // quiet, but it cannot pause the chip mid-verification.  The seam models
 // exactly that window: core::Secure_memory owns an optional tap pointer and
 // the protected data path *pulls* it at the head of every bulk flush
-// (runtime::Secure_session::write_units / read_units and the serving
-// layer's per-request fallback) -- i.e. between scheduler flushes, on the
-// one thread that owns the memory at that moment.  Implementations (the
-// attack campaign's Fault_injector) run their queued mutations inside the
-// pull, so fault injection is serialized against ALL legitimate traffic
-// while the clean path pays one atomic load and a branch.
+// (runtime::Secure_session::write_units / read_units, which the serving
+// layer calls for every flush, retries included) -- i.e. between
+// scheduler flushes, on the one thread that owns the memory at that
+// moment.  Implementations (the attack campaign's Fault_injector) run
+// their queued mutations inside the pull, so fault injection is serialized
+// against ALL legitimate traffic while the clean path pays one atomic load
+// and a branch.
 #pragma once
 
 namespace seda::dram {

@@ -55,9 +55,7 @@ Infer_result run_infer(const accel::Model_desc& model, const accel::Npu_config& 
     engines.reserve(cfg.tenants);
     for (std::size_t t = 0; t < cfg.tenants; ++t)
         engines.push_back(std::make_unique<Inference_engine>(
-            binding,
-            Engine_config{tenant_seed(cfg.seed, static_cast<u32>(t)),
-                          cfg.max_batch_units}));
+            binding, Engine_config{tenant_seed(cfg.seed, static_cast<u32>(t))}));
 
     core::Secure_mem_config mem;
     mem.unit_bytes = Model_binding::k_unit_bytes;
@@ -67,8 +65,6 @@ Infer_result run_infer(const accel::Model_desc& model, const accel::Npu_config& 
         serve::Server_config server_cfg;
         server_cfg.tenants = cfg.tenants;
         server_cfg.workers = cfg.jobs;
-        server_cfg.queue_capacity = cfg.queue_capacity;
-        server_cfg.max_batch = cfg.max_batch;
         server_cfg.max_wait_us = cfg.max_wait_us;
         server_cfg.mem = mem;
         serve::Server server(serve::demo_master_key(cfg.seed, 0x1FE2),

@@ -41,11 +41,7 @@ struct Infer_config {
     std::size_t jobs = 1;           ///< crypto workers (0 = hardware)
     Replay_path path = Replay_path::serve;
     u64 seed = 0x5EDA;
-    std::size_t max_batch_units = 4096;
-    // serve-path knobs (Server_config passthrough).
-    std::size_t queue_capacity = 1024;
-    std::size_t max_batch = 256;
-    std::size_t max_wait_us = 0;
+    std::size_t max_wait_us = 0;    ///< serve-path coalescing linger (Server_config)
 };
 
 struct Infer_result {

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cerrno>
 #include <charconv>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -29,14 +30,27 @@ constexpr const char* k_ct_prom = "text/plain; version=0.0.4; charset=utf-8";
 constexpr const char* k_ct_json = "application/json";
 constexpr const char* k_ct_text = "text/plain; charset=utf-8";
 
-/// Blocking-read one request's head (through the blank line) with a size
-/// cap.  Returns false on EOF/error/oversize before a full head arrived.
+/// The time a peer gets to send its whole request head, and the timeout of
+/// each send of the response.  One deadline for the whole head, not one per
+/// recv: a peer trickling a byte at a time would otherwise hold the serial
+/// loop, and every scrape queued behind it, for as long as it trickles.
+constexpr std::chrono::seconds k_peer_deadline{2};
+
+/// Reads one request's head (through the blank line) with a size cap and
+/// the k_peer_deadline.  Returns false on EOF/error/oversize/timeout before
+/// a full head arrived.
 bool read_request_head(int fd, std::string& buf, std::size_t max_bytes)
 {
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point deadline = Clock::now() + k_peer_deadline;
     buf.clear();
     char chunk[1024];
     while (buf.find("\r\n\r\n") == std::string::npos) {
         if (buf.size() > max_bytes) return false;
+        const auto left = std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now());
+        pollfd pfd{fd, POLLIN, 0};
+        if (left.count() <= 0 || ::poll(&pfd, 1, static_cast<int>(left.count())) <= 0)
+            return false;
         const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
         if (n <= 0) return false;
         buf.append(chunk, static_cast<std::size_t>(n));
@@ -121,10 +135,10 @@ void Http_exporter::serve_loop()
         if (ready <= 0 || (pfd.revents & POLLIN) == 0) continue;
         const int conn = ::accept(listen_fd_, nullptr, nullptr);
         if (conn < 0) continue;
-        // A stalled peer must not wedge the serial loop: bound both sides.
+        // A stalled peer must not wedge the serial loop: bound both sides
+        // (the request head's deadline lives in read_request_head).
         timeval tv{};
-        tv.tv_sec = 2;
-        ::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+        tv.tv_sec = k_peer_deadline.count();
         ::setsockopt(conn, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
         handle_connection(conn);
         ::close(conn);

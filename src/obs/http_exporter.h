@@ -3,7 +3,9 @@
 // A deliberately tiny dependency-free HTTP/1.1 server -- one background
 // thread, a poll loop, serial connection handling, `Connection: close` on
 // every response -- sized for a scraper hitting it a few times a second,
-// not for serving traffic.  SECURITY: binds 127.0.0.1 ONLY (never
+// not for serving traffic.  A peer gets 2 s for its whole request head,
+// so a client trickling bytes is cut off (400) instead of holding every
+// scrape behind it.  SECURITY: binds 127.0.0.1 ONLY (never
 // INADDR_ANY) and is opt-in via seda_cli --listen / SEDA_OBS_LISTEN; the
 // telemetry plane must not become a remote attack surface of the very
 // system whose integrity the SeDA pipeline defends.

@@ -5,7 +5,7 @@
 //
 //   req.queue     submit -> pickup        (admission queue wait)
 //   req.window    pickup -> flush begin   (coalescing window share)
-//   req.crypto    flush begin -> end      (bulk crypto / fallback memory op)
+//   req.crypto    flush begin -> end      (the session call that completed it)
 //   req.complete  flush end -> done      (completion fan-out)
 //
 // The four phases land in the serve_req_*_us stage histograms carrying the
@@ -16,9 +16,9 @@
 // Arming matches Stage_span: with a recording active every request is
 // traced; with only metrics live, 1-in-N requests are sampled
 // (SEDA_OBS_SAMPLE); fully disarmed, submit costs one relaxed load and a
-// branch and every other site tests a member against zero.  Works on both
-// the bulk flush path and the per-request fallback path (both call the
-// flush/finish hooks).  Nothing here touches stdout.
+// branch and every other site tests a member against zero.  A request the
+// scheduler retries alone after a rejected bulk call is stamped by that
+// retry's flush, like any other.  Nothing here touches stdout.
 #pragma once
 
 #include "common/types.h"
@@ -32,8 +32,8 @@ struct Trace_context {
     u64 trace_id = 0;
     u64 t_submit = 0;
     u64 t_pickup = 0;
-    u64 t_flush0 = 0;  ///< session flush (or fallback op) began
-    u64 t_flush1 = 0;  ///< session flush (or fallback op) ended
+    u64 t_flush0 = 0;  ///< session flush began
+    u64 t_flush1 = 0;  ///< session flush ended
 };
 
 #ifdef SEDA_DISABLE_OBS
@@ -64,7 +64,7 @@ inline void trace_request_pickup(Trace_context& ctx, u64 now)
     if (ctx.trace_id != 0) ctx.t_pickup = now;
 }
 
-/// Stamps the flush window that carried this request (bulk or fallback).
+/// Stamps the flush window that carried this request.
 inline void trace_request_flush(Trace_context& ctx, u64 t0, u64 t1)
 {
     if (ctx.trace_id != 0) {

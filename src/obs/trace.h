@@ -74,7 +74,7 @@ enum class Flight_kind : u8 {
     window,       ///< one scheduler coalescing window (n = requests)
     flush_write,  ///< one bulk write batch through a session (n = units)
     flush_read,   ///< one bulk read batch through a session (n = units)
-    fallback,     ///< one per-request fallback dispatch after a bulk reject
+    fallback,     ///< one request retried alone after a bulk reject
     inject,       ///< a campaign fault armed against DRAM (n = fault kind)
     detect,       ///< a verification failure (status carries the outcome)
     infer_detect  ///< a unit failure observed by the inference replay layer

@@ -2,21 +2,20 @@
 // per-tenant bulk Secure_session calls.
 //
 // This is the piece that keeps the PR 1-3 crypto substrate fed: a single
-// 64 B request through Secure_memory::write()/read() pays the whole
-// per-call setup and a lone HMAC, while a coalesced batch streams every
-// MAC through the multi-buffer pipeline and every pad through the bulk CTR
-// gear.  The scheduler's contract:
+// 64 B request pays the whole per-call setup and a lone HMAC, while a
+// coalesced batch streams every MAC through the multi-buffer pipeline and
+// every pad through the bulk CTR gear.  The scheduler's contract:
 //
 //   * per-tenant CONFLICT ORDER IS PRESERVED -- within one tenant's
 //     admission-ordered stream, operations on DIFFERENT addresses commute
 //     (and so do reads of the same address), so the scheduler accumulates
-//     one write batch and one read batch per tenant and only flushes when
-//     a request touches an address the OPPOSITE pending batch already
-//     holds (write-after-pending-read or read-after-pending-write).
-//     Random op mixes therefore coalesce into two bulk calls per tenant
-//     per window instead of one per op flip, and read-your-writes still
-//     holds for any in-order producer.  In-batch write-after-write is
-//     handled by stage_writes's supersede rule, in admission order.
+//     one pending batch per op per tenant and only flushes when a request
+//     touches an address the OPPOSITE pending batch already holds
+//     (write-after-pending-read or read-after-pending-write).  Random op
+//     mixes therefore coalesce into two bulk calls per tenant per window
+//     instead of one per op flip, and read-your-writes still holds for any
+//     in-order producer.  In-batch write-after-write is handled by
+//     stage_writes's supersede rule, in admission order.
 //   * tenants are independent -- their memories are disjoint, so the
 //     per-tenant batches of one run may dispatch in any order without
 //     observable difference; we go in tenant-id order for determinism.
@@ -24,16 +23,25 @@
 //     affects only speed, never payloads or statuses (Secure_session's
 //     batch path is bit-identical to serial I/O).
 //
+// One flush, one completion: every segment, whatever its op, goes through
+// flush() -- one session call (which pulls the Dram_tap and records the
+// flush flight event), one trace stamp of the flush window, then
+// complete() per request in admission order.
+//
 // Failure containment: a request the bulk path rejects outright (e.g. a
 // read of a never-written unit throws Seda_error before any crypto) must
-// not take the batch -- or the server -- down.  The segment falls back to
-// per-request dispatch; poisoned requests complete with the exception on
-// their promise and count as `rejected`, everyone else proceeds normally.
+// not take the batch -- or the server -- down.  A rejected session call
+// changed nothing, so flush() re-runs each request of the segment as a
+// segment of one through the same code, recording a `fallback` flight
+// event per request.  A request that still throws alone completes with the
+// exception on its promise and counts as `rejected`; everyone else
+// proceeds normally.
 //
 // Thread-safety: one dispatch() at a time (the server's scheduler thread);
 // the internal staging vectors are reused across calls.
 #pragma once
 
+#include <array>
 #include <exception>
 #include <span>
 #include <vector>
@@ -59,23 +67,21 @@ public:
     void dispatch(std::span<Request> run, Serve_stats& stats);
 
 private:
-    /// Flush one side of the pending state.  The two sides are
+    /// Flushes the pending batch of `op`.  The two pending batches are
     /// address-disjoint by construction, so they commute: a conflict only
-    /// has to flush the OPPOSITE side, and the same-op batch keeps
+    /// has to flush the OPPOSITE one, and the same-op batch keeps
     /// accumulating across it.
-    void flush_pending_writes(Tenant& tenant, Serve_stats& stats);
-    void flush_pending_reads(Tenant& tenant, Serve_stats& stats);
-    void flush_writes(Tenant& tenant, std::span<Request* const> segment,
-                      Serve_stats& stats);
-    void flush_reads(Tenant& tenant, std::span<Request* const> segment,
-                     Serve_stats& stats);
-    /// Per-request fallback after a bulk rejection: isolates the poisoned
-    /// request(s) without losing the rest of the segment.
-    void dispatch_one(Tenant& tenant, Request& req, Serve_stats& stats);
-    void complete(Request& req, Response&& resp, Tenant_counters& counters,
+    void flush_pending(Tenant& tenant, Op op, Serve_stats& stats);
+    /// One session call for a same-op segment, then complete() per request.
+    /// When the call throws Seda_error, re-runs each request as a segment
+    /// of one (`retry`); a request that throws on retry is reject()ed.
+    void flush(Tenant& tenant, Op op, std::span<Request* const> segment,
+               Serve_stats& stats, bool retry = false);
+    /// Counts `req`'s outcome and fulfills its promise; an ok read hands
+    /// over `read_buf` (unused for writes).
+    void complete(Request& req, core::Verify_status status, std::vector<u8>& read_buf,
                   Serve_stats& stats);
-    void reject(Request& req, std::exception_ptr error, Tenant_counters& counters,
-                Serve_stats& stats);
+    void reject(Request& req, std::exception_ptr error, Serve_stats& stats);
     /// Serve_stats latency plus the per-tenant labeled registry histogram
     /// (which carries the request's trace id as an exemplar when sampled).
     void record_latency(const Request& req, Serve_stats& stats);
@@ -87,12 +93,14 @@ private:
 
     // Staging scratch reused across dispatches (cleared, not freed).
     std::vector<std::vector<Request*>> per_tenant_;
-    std::vector<Request*> pending_writes_;
-    std::vector<Request*> pending_reads_;
-    // Flat address lists (linear contains()): windows hold a few dozen
-    // addresses, where a cache-line scan beats a node-allocating hash set.
-    std::vector<Addr> pending_write_addrs_;
-    std::vector<Addr> pending_read_addrs_;
+    /// One tenant's pending batch per op, indexed by Op, with its flat
+    /// address list (linear contains()): windows hold a few dozen
+    /// addresses, where a cache-line scan beats a node-allocating hash set.
+    struct Pending {
+        std::vector<Request*> requests;
+        std::vector<Addr> addrs;
+    };
+    std::array<Pending, 2> pending_;
     std::vector<core::Secure_memory::Unit_write> writes_;
     std::vector<core::Secure_memory::Unit_read> reads_;
     std::vector<std::vector<u8>> read_bufs_;

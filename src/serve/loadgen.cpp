@@ -101,8 +101,6 @@ Loadgen_result run_loadgen(const Loadgen_config& cfg)
     Server_config server_cfg;
     server_cfg.tenants = cfg.tenants;
     server_cfg.workers = cfg.jobs;
-    server_cfg.queue_capacity = cfg.queue_capacity;
-    server_cfg.max_batch = cfg.max_batch;
     server_cfg.max_wait_us = cfg.max_wait_us;
     server_cfg.mem.unit_bytes = cfg.unit_bytes;
 

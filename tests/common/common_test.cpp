@@ -85,32 +85,6 @@ TEST(Rng, UnitIntervalBounds)
     }
 }
 
-TEST(Stats, RunningStats)
-{
-    Running_stats s;
-    s.add(1.0);
-    s.add(3.0);
-    s.add(2.0);
-    EXPECT_EQ(s.count(), 3u);
-    EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 3.0);
-}
-
-TEST(Stats, Means)
-{
-    const double xs[] = {1.0, 4.0, 16.0};
-    EXPECT_DOUBLE_EQ(mean_of(xs), 7.0);
-    EXPECT_NEAR(geomean_of(xs), 4.0, 1e-12);
-    EXPECT_DOUBLE_EQ(mean_of({}), 0.0);
-}
-
-TEST(Stats, OverheadPct)
-{
-    EXPECT_DOUBLE_EQ(overhead_pct(1.3, 1.0), 30.0);
-    EXPECT_NEAR(overhead_pct(1.0, 1.0), 0.0, 1e-12);
-}
-
 TEST(Stats, PercentilesNearestRank)
 {
     EXPECT_DOUBLE_EQ(percentile_sorted({}, 50.0), 0.0);
@@ -136,33 +110,6 @@ TEST(Stats, PercentilesNearestRank)
     const double shuffled[] = {9.0, 1.0, 5.0, 3.0, 7.0};
     EXPECT_DOUBLE_EQ(percentile_of(shuffled, 50.0), 5.0);
     EXPECT_DOUBLE_EQ(percentile_of(shuffled, 100.0), 9.0);
-}
-
-TEST(Stats, PercentilesInterpolated)
-{
-    EXPECT_DOUBLE_EQ(percentile_interp_sorted({}, 50.0), 0.0);
-
-    const double one[] = {7.0};
-    EXPECT_DOUBLE_EQ(percentile_interp_sorted(one, 0.0), 7.0);
-    EXPECT_DOUBLE_EQ(percentile_interp_sorted(one, 100.0), 7.0);
-
-    // Even sample count: the median blends the straddling pair instead of
-    // snapping to one member the way nearest-rank does.
-    const double four[] = {10.0, 20.0, 30.0, 40.0};
-    EXPECT_DOUBLE_EQ(percentile_interp_sorted(four, 50.0), 25.0);
-    EXPECT_DOUBLE_EQ(percentile_sorted(four, 50.0), 20.0);
-
-    // 1..100: nearest-rank p99 lands on the literal maximum (tail
-    // overstatement); interpolation reads 99% of the way there.
-    std::vector<double> hundred(100);
-    for (int i = 0; i < 100; ++i) hundred[static_cast<std::size_t>(i)] = i + 1.0;
-    EXPECT_DOUBLE_EQ(percentile_sorted(hundred, 99.0), 99.0);
-    EXPECT_DOUBLE_EQ(percentile_interp_sorted(hundred, 99.0), 99.01);
-    EXPECT_DOUBLE_EQ(percentile_interp_sorted(hundred, 100.0), 100.0);
-
-    const double shuffled[] = {9.0, 1.0, 5.0, 3.0, 7.0};
-    EXPECT_DOUBLE_EQ(percentile_interp_of(shuffled, 50.0), 5.0);
-    EXPECT_DOUBLE_EQ(percentile_interp_of(shuffled, 75.0), 7.0);
 }
 
 TEST(Bitutil, Fnv1a64KnownVectorsAndSensitivity)

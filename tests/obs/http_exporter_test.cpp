@@ -8,12 +8,15 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "common/error.h"
 #include "obs/export.h"
@@ -30,19 +33,27 @@ namespace {
 #define SKIP_UNLESS_OBS_LIVE() \
     if (!enabled()) GTEST_SKIP() << "observability disabled in this build/env"
 
-/// Raw HTTP exchange: connect, send `request` verbatim, read to EOF.
-std::string http_exchange(u16 port, const std::string& request)
+/// A socket connected to the exporter on `port`, or -1.
+int connect_to(u16 port)
 {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return {};
+    if (fd < 0) return -1;
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     addr.sin_port = htons(port);
     if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
         ::close(fd);
-        return {};
+        return -1;
     }
+    return fd;
+}
+
+/// Raw HTTP exchange: connect, send `request` verbatim, read to EOF.
+std::string http_exchange(u16 port, const std::string& request)
+{
+    const int fd = connect_to(port);
+    if (fd < 0) return {};
     ::send(fd, request.data(), request.size(), MSG_NOSIGNAL);
     std::string out;
     char buf[4096];
@@ -174,6 +185,50 @@ TEST(ObsHttpExporter, MalformedRequestsGet400)
     const std::string r = http_exchange(exporter.port(), "garbage\r\n\r\n");
     EXPECT_EQ(r.rfind("HTTP/1.1 400 Bad Request\r\n", 0), 0u) << r;
     exporter.stop();
+}
+
+TEST(ObsHttpExporter, TricklingClientIsCutOffAndHealthzStillAnswers)
+{
+    // The exporter serves one connection at a time.  A peer that sends its
+    // request head a byte at a time gets one deadline for the whole head,
+    // not one per byte, so it is cut off and a /healthz queued behind it
+    // answers within 3 s.
+    using Clock = std::chrono::steady_clock;
+    const auto seconds_since = [](Clock::time_point t) {
+        return std::chrono::duration<double>(Clock::now() - t).count();
+    };
+    Http_exporter exporter;
+    exporter.start();
+    const int trickler = connect_to(exporter.port());
+    ASSERT_GE(trickler, 0);
+    const Clock::time_point t0 = Clock::now();
+    double cut_after_s = -1;  // written by the trickler, read after join()
+    std::thread trickle([&] {
+        // A byte every 150 ms of a head that never ends, for up to 6 s or
+        // until the exporter answers or hangs up.
+        const std::string head = "GET /metrics HTTP/1.1\r\nX-Slow: ";
+        for (std::size_t i = 0; seconds_since(t0) < 6; ++i) {
+            pollfd pfd{trickler, POLLIN, 0};
+            if (::poll(&pfd, 1, 150) > 0) {
+                cut_after_s = seconds_since(t0);
+                break;
+            }
+            const char byte = i < head.size() ? head[i] : 'x';
+            ::send(trickler, &byte, 1, MSG_NOSIGNAL);
+        }
+        ::close(trickler);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));  // the loop is on the trickler
+    const Clock::time_point h0 = Clock::now();
+    const std::string health = http_get(exporter.port(), "/healthz");
+    const double healthz_s = seconds_since(h0);
+    trickle.join();
+    exporter.stop();
+
+    EXPECT_NE(health.find("\"state\""), std::string::npos) << health;
+    EXPECT_LT(healthz_s, 3.0);
+    EXPECT_GE(cut_after_s, 0.0) << "the trickling client was never cut off";
+    EXPECT_LT(cut_after_s, 3.0);
 }
 
 TEST(ObsHttpExporter, EphemeralAndExplicitPortsBothBind)

@@ -236,7 +236,9 @@ TEST(ThreadPool, SingleWorkerPoolRunsEverything)
         EXPECT_EQ(sum.load(), static_cast<long>(n * (n - 1) / 2)) << n;
         EXPECT_NE(executor_mask.load(), 0u) << n;
         EXPECT_EQ(executor_mask.load() & ~std::size_t{0b11}, 0u) << n;
-        if (n < 128) EXPECT_EQ(executor_mask.load(), 0b01u) << "one chunk runs on the caller";
+        if (n < 128) {
+            EXPECT_EQ(executor_mask.load(), 0b01u) << "one chunk runs on the caller";
+        }
         std::sort(chunks.begin(), chunks.end(),
                   [](Index_range a, Index_range b) { return a.begin < b.begin; });
         EXPECT_EQ(chunks, expected) << n;
