@@ -3,14 +3,15 @@
 // the paper contrasts (standard CTR, shared-OTP, B-AES), plus the SECA
 // attack itself.
 //
-// Backend coverage: every AES bench runs once per AES backend and every
-// SHA/HMAC bench once per SHA-256 backend, so the round-implementation share
-// is measured, not asserted.  bm_aes128_encrypt_blocks is the bulk cipher
-// call the datapath makes (Baes_engine::otps_many).  The hardware kinds
-// (aesni, shani) are registered at runtime only when this host's CPUID has
-// the features -- a static BENCHMARK() would silently measure the software
-// fallback under a hardware label on older CPUs -- which is why this file
-// has its own main() instead of BENCHMARK_MAIN().
+// Backend coverage: every AES bench -- the unit MACs included, since they
+// are AES-CMAC -- runs once per AES backend, and the SHA-256 bench (the KDF's
+// hash) once per SHA-256 backend, so the round-implementation share is
+// measured, not asserted.  bm_aes128_encrypt_blocks is the bulk cipher call
+// the datapath makes (Baes_engine::otps_many and every CMAC wave).  The
+// hardware kinds (aesni, shani) are registered at runtime only when this
+// host's CPUID has the features -- a static BENCHMARK() would silently
+// measure the software fallback under a hardware label on older CPUs --
+// which is why this file has its own main() instead of BENCHMARK_MAIN().
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -93,25 +94,9 @@ void bm_sha256_64b(benchmark::State& state)
 BENCHMARK(bm_sha256_64b<Sha256_backend_kind::scalar>);
 BENCHMARK(bm_sha256_64b<Sha256_backend_kind::fast>);
 
-template <Sha256_backend_kind K>
-void bm_sha256_bulk(benchmark::State& state)
+void bm_positional_block_mac(benchmark::State& state)
 {
-    // Long single stream: measures the unrolled compression alone (no
-    // multi-buffer interleave possible on one serial message).
-    const auto data = make_data(static_cast<std::size_t>(state.range(0)));
-    for (auto _ : state) {
-        Sha256 h(K);
-        h.update(data);
-        auto d = h.finish();
-        benchmark::DoNotOptimize(d);
-    }
-    state.SetBytesProcessed(static_cast<i64>(state.iterations()) * state.range(0));
-}
-BENCHMARK(bm_sha256_bulk<Sha256_backend_kind::scalar>)->Arg(4096);
-BENCHMARK(bm_sha256_bulk<Sha256_backend_kind::fast>)->Arg(4096);
-
-void bm_hmac_mac64(benchmark::State& state)
-{
+    // One-shot MAC: key schedule and subkeys per call.
     const auto key = make_key();
     const auto data = make_data(static_cast<std::size_t>(state.range(0)));
     Mac_context ctx{0x1000, 1, 3, 0, 7};
@@ -121,13 +106,13 @@ void bm_hmac_mac64(benchmark::State& state)
     }
     state.SetBytesProcessed(static_cast<i64>(state.iterations()) * state.range(0));
 }
-BENCHMARK(bm_hmac_mac64)->Arg(64)->Arg(512)->Arg(4096);
+BENCHMARK(bm_positional_block_mac)->Arg(64)->Arg(512)->Arg(4096);
 
-void bm_hmac_engine_mac64(benchmark::State& state)
+void bm_cmac_engine_mac(benchmark::State& state)
 {
-    // Precomputed-key engine: the amortized per-unit MAC of the batch path.
+    // Precomputed-key engine, one unit per call: a lone CBC chain.
     const auto key = make_key();
-    const Hmac_engine engine(key);
+    const Cmac_engine engine(key);
     const auto data = make_data(static_cast<std::size_t>(state.range(0)));
     Mac_context ctx{0x1000, 1, 3, 0, 7};
     for (auto _ : state) {
@@ -136,62 +121,41 @@ void bm_hmac_engine_mac64(benchmark::State& state)
     }
     state.SetBytesProcessed(static_cast<i64>(state.iterations()) * state.range(0));
 }
-BENCHMARK(bm_hmac_engine_mac64)->Arg(64)->Arg(512)->Arg(4096);
+BENCHMARK(bm_cmac_engine_mac)->Arg(64)->Arg(512)->Arg(4096);
 
-// --- bulk HMAC: one tile of unit MACs, loop vs positional_macs --------------
+// --- bulk unit MACs: one tile through positional_macs ------------------------
 //
-// The MAC half of a secure-memory tile transfer: 64 independent 64 B unit
-// MACs under one engine.  The loop gear is what write_units/read_units did
-// before the bulk pipeline; the bulk gear streams every MAC through the
-// backend's multi-buffer compressor.  Compare
-//     bm_hmac_units_bulk<Sha256_backend_kind::fast>
-//     bm_hmac_units_loop<Sha256_backend_kind::scalar>
-// for the full SHA-side refactor win, and the same gear across backends for
-// the compression share alone.
+// The MAC half of a secure-memory tile transfer: 64 independent unit MACs
+// under one engine, whose CBC chains advance in lock-step waves (one bulk
+// AES call per block position).  The argument is the unit size: 64 B is the
+// datapath's unit, 128-4096 B the optBlk sizes of Table I.
 
 constexpr std::size_t k_mac_units = 64;
 
-template <Sha256_backend_kind K>
-void bm_hmac_units_loop(benchmark::State& state)
+template <Aes_backend_kind K>
+void bm_unit_macs_bulk(benchmark::State& state)
 {
-    const auto key = make_key();
-    const Hmac_engine engine(key, K);
-    const auto data = make_data(64 * k_mac_units);
-    std::array<u64, k_mac_units> macs{};
-    for (auto _ : state) {
-        for (std::size_t i = 0; i < k_mac_units; ++i) {
-            const Mac_context ctx{0x1000 + 64 * i, 1, 3, 0, static_cast<u32>(i)};
-            macs[i] = engine.positional_mac(
-                std::span<const u8>(data).subspan(64 * i, 64), ctx);
-        }
-        benchmark::DoNotOptimize(macs.data());
-    }
-    state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
-                            static_cast<i64>(64 * k_mac_units));
-}
-BENCHMARK(bm_hmac_units_loop<Sha256_backend_kind::scalar>);
-BENCHMARK(bm_hmac_units_loop<Sha256_backend_kind::fast>);
-
-template <Sha256_backend_kind K>
-void bm_hmac_units_bulk(benchmark::State& state)
-{
-    const auto key = make_key();
-    const Hmac_engine engine(key, K);
-    const auto data = make_data(64 * k_mac_units);
+    const std::size_t unit_bytes = static_cast<std::size_t>(state.range(0));
+    const Cmac_engine engine(make_key(), K);
+    const auto data = make_data(unit_bytes * k_mac_units);
     std::vector<Mac_request> reqs;
     for (std::size_t i = 0; i < k_mac_units; ++i)
-        reqs.push_back({std::span<const u8>(data).subspan(64 * i, 64),
-                        {0x1000 + 64 * i, 1, 3, 0, static_cast<u32>(i)}});
+        reqs.push_back({std::span<const u8>(data).subspan(unit_bytes * i, unit_bytes),
+                        {0x1000 + unit_bytes * i, 1, 3, 0, static_cast<u32>(i)}});
     std::array<u64, k_mac_units> macs{};
     for (auto _ : state) {
         engine.positional_macs(reqs, macs);
         benchmark::DoNotOptimize(macs.data());
     }
     state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
-                            static_cast<i64>(64 * k_mac_units));
+                            static_cast<i64>(unit_bytes * k_mac_units));
 }
-BENCHMARK(bm_hmac_units_bulk<Sha256_backend_kind::scalar>);
-BENCHMARK(bm_hmac_units_bulk<Sha256_backend_kind::fast>);
+void unit_mac_sizes(benchmark::internal::Benchmark* b)
+{
+    for (const i64 bytes : {64, 128, 256, 512, 1024, 4096}) b->Arg(bytes);
+}
+BENCHMARK(bm_unit_macs_bulk<Aes_backend_kind::scalar>)->Apply(unit_mac_sizes);
+BENCHMARK(bm_unit_macs_bulk<Aes_backend_kind::ttable>)->Apply(unit_mac_sizes);
 
 // --- CTR disciplines, per backend --------------------------------------------
 //
@@ -327,19 +291,13 @@ int main(int argc, char** argv)
                                      bm_baes_crypt<k>)
             ->Arg(64)
             ->Arg(512);
+        benchmark::RegisterBenchmark("bm_unit_macs_bulk<Aes_backend_kind::aesni>",
+                                     bm_unit_macs_bulk<k>)
+            ->Apply(unit_mac_sizes);
     }
-    if (sha256_backend_available(Sha256_backend_kind::shani)) {
-        constexpr auto k = Sha256_backend_kind::shani;
+    if (sha256_backend_available(Sha256_backend_kind::shani))
         benchmark::RegisterBenchmark("bm_sha256_64b<Sha256_backend_kind::shani>",
-                                     bm_sha256_64b<k>);
-        benchmark::RegisterBenchmark("bm_sha256_bulk<Sha256_backend_kind::shani>",
-                                     bm_sha256_bulk<k>)
-            ->Arg(4096);
-        benchmark::RegisterBenchmark("bm_hmac_units_loop<Sha256_backend_kind::shani>",
-                                     bm_hmac_units_loop<k>);
-        benchmark::RegisterBenchmark("bm_hmac_units_bulk<Sha256_backend_kind::shani>",
-                                     bm_hmac_units_bulk<k>);
-    }
+                                     bm_sha256_64b<Sha256_backend_kind::shani>);
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
     benchmark::RunSpecifiedBenchmarks();

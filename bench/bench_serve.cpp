@@ -3,13 +3,13 @@
 //
 //   bm_serve_naive             one-request-at-a-time through the SAME front
 //                              end (Batch_scheduler windows of 1): every
-//                              request pays its own staging, a lone HMAC,
-//                              and the per-dispatch bookkeeping -- the
-//                              baseline a batching-free server sustains
+//                              request pays its own staging, a lone MAC
+//                              chain, and the per-dispatch bookkeeping --
+//                              the baseline a batching-free server sustains
 //   bm_serve_batched/J         the same stream in max_batch windows:
 //                              per-tenant conflict-aware coalescing into
 //                              Secure_session's bulk path (bulk CTR pads +
-//                              multi-buffer HMAC waves), J workers
+//                              lock-step AES-CMAC waves), J workers
 //   bm_serve_loadgen/J         the full closed loop end to end (server +
 //                              admission queue + client threads), J workers
 //

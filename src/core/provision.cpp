@@ -38,7 +38,7 @@ Model_image provision_model(const accel::Model_desc& model, std::span<const u8> 
 
     const accel::Memory_map map(model);
     const crypto::Baes_engine baes(enc_key);
-    const crypto::Hmac_engine hmac(mac_key);
+    const crypto::Cmac_engine cmac(mac_key);
 
     Model_image image;
     image.ciphertext.assign(weights.begin(), weights.end());
@@ -59,7 +59,7 @@ Model_image provision_model(const accel::Model_desc& model, std::span<const u8> 
             const Addr pa = span.base + off;
             std::span<u8> unit(image.ciphertext.data() + cursor + off, n);
             baes.crypt(unit, pa, image.provision_vn);
-            const u64 mac = hmac.positional_mac(
+            const u64 mac = cmac.positional_mac(
                 unit, weight_context(pa, image.provision_vn, span.layer_id,
                                      static_cast<u32>(off / k_unit)));
             layer_fold.fold(mac);
@@ -75,7 +75,7 @@ Model_image provision_model(const accel::Model_desc& model, std::span<const u8> 
 
 bool verify_image(const Model_image& image, std::span<const u8> mac_key)
 {
-    const crypto::Hmac_engine hmac(mac_key);
+    const crypto::Cmac_engine cmac(mac_key);
     crypto::Xor_mac_accumulator model_fold;
     Bytes cursor = 0;
     for (std::size_t i = 0; i < image.layers.size(); ++i) {
@@ -84,7 +84,7 @@ bool verify_image(const Model_image& image, std::span<const u8> mac_key)
         for (Bytes off = 0; off < span.bytes; off += span.unit_bytes) {
             const Bytes n = std::min(span.unit_bytes, span.bytes - off);
             const std::span<const u8> unit(image.ciphertext.data() + cursor + off, n);
-            const u64 mac = hmac.positional_mac(
+            const u64 mac = cmac.positional_mac(
                 unit, weight_context(span.base + off, image.provision_vn, span.layer_id,
                                      static_cast<u32>(off / span.unit_bytes)));
             layer_fold.fold(mac);

@@ -25,7 +25,7 @@ crypto::Mac_context context_for(Addr addr, u64 vn, u32 layer_id, u32 fmap_idx, u
 
 Secure_memory::Secure_memory(std::span<const u8> enc_key, std::span<const u8> mac_key,
                              Config cfg)
-    : cfg_(cfg), baes_(enc_key), hmac_(mac_key)
+    : cfg_(cfg), baes_(enc_key), mac_(mac_key)
 {
     require(cfg_.unit_bytes >= k_aes_block_bytes && cfg_.unit_bytes % k_aes_block_bytes == 0,
             "Secure_memory: unit must be a multiple of 16 bytes");
@@ -93,7 +93,7 @@ std::span<const Secure_memory::Write_slot> Secure_memory::stage_writes(
 
 void Secure_memory::encrypt_slots(std::span<const Write_slot> slots,
                                   const crypto::Baes_engine& baes,
-                                  const crypto::Hmac_engine& hmac, Bulk_scratch& scratch)
+                                  const crypto::Cmac_engine& mac, Bulk_scratch& scratch)
 {
     // Lap boundaries reuse one clock read, so phase attribution adds no
     // extra reads over a single whole-call span.
@@ -123,9 +123,9 @@ void Secure_memory::encrypt_slots(std::span<const Write_slot> slots,
     }
     phases.lap(obs::Stage::baes);
 
-    // Phase 2: one bulk-HMAC call MACs the whole run.
+    // Phase 2: one bulk-CMAC call MACs the whole run.
     scratch.macs.resize(reqs.size());
-    hmac.positional_macs(reqs, scratch.macs);
+    mac.positional_macs(reqs, scratch.macs);
     std::size_t live = 0;
     for (const Write_slot& slot : slots)
         if (slot.src != nullptr) slot.page->mac[slot.unit] = scratch.macs[live++];
@@ -134,7 +134,7 @@ void Secure_memory::encrypt_slots(std::span<const Write_slot> slots,
 
 void Secure_memory::read_units_with(std::span<const Unit_read> batch,
                                     const crypto::Baes_engine& baes,
-                                    const crypto::Hmac_engine& hmac, Bulk_scratch& scratch,
+                                    const crypto::Cmac_engine& mac, Bulk_scratch& scratch,
                                     std::span<Verify_status> out_status) const
 {
     require(batch.size() == out_status.size(),
@@ -165,10 +165,10 @@ void Secure_memory::read_units_with(std::span<const Unit_read> batch,
     }
     phases.lap(obs::Stage::locate);
 
-    // Phase 2: every expected MAC through the bulk HMAC pipeline at once.
+    // Phase 2: every expected MAC through the bulk CMAC waves at once.
     auto& expected = scratch.macs;
     expected.resize(batch.size());
-    hmac.positional_macs(reqs, expected);
+    mac.positional_macs(reqs, expected);
     phases.lap(obs::Stage::bulk_mac);
 
     // Phase 3: every base OTP in one bulk AES call, then compare and
@@ -205,19 +205,19 @@ Verify_status Secure_memory::read(Addr addr, std::span<u8> out, u32 layer_id,
 {
     const Unit_read r{addr, out, layer_id, fmap_idx, blk_idx};
     Verify_status status{};
-    read_units_with({&r, 1}, baes_, hmac_, scratch_, {&status, 1});
+    read_units_with({&r, 1}, baes_, mac_, scratch_, {&status, 1});
     return status;
 }
 
 void Secure_memory::write_units(std::span<const Unit_write> batch)
 {
-    encrypt_slots(stage_writes(batch), baes_, hmac_, scratch_);
+    encrypt_slots(stage_writes(batch), baes_, mac_, scratch_);
 }
 
 std::vector<Verify_status> Secure_memory::read_units(std::span<const Unit_read> batch)
 {
     std::vector<Verify_status> statuses(batch.size());
-    read_units_with(batch, baes_, hmac_, scratch_, statuses);
+    read_units_with(batch, baes_, mac_, scratch_, statuses);
     return statuses;
 }
 

@@ -26,7 +26,7 @@
 // There is one write path and one read path.  A batch write stages serially
 // (validate, bump VNs, claim cells, supersede in-batch duplicates) and then
 // runs all its crypto through the bulk pipelines (encrypt_slots: batched
-// base OTPs, then one multi-buffer HMAC call); a batch read locates every
+// base OTPs, then one bulk AES-CMAC call); a batch read locates every
 // unit, computes every expected MAC and base OTP in bulk, then compares and
 // decrypts per unit (read_units_with).  write()/read() are batches of one,
 // so a tile issued one unit at a time is bit-for-bit identical to the same
@@ -142,7 +142,7 @@ public:
 
     /// Reusable scratch for the bulk crypto paths (encrypt_slots /
     /// read_units_with): the B-AES pad buffer plus the staging vectors the
-    /// bulk AES and HMAC pipelines consume.  One instance belongs to exactly
+    /// bulk AES and CMAC pipelines consume.  One instance belongs to exactly
     /// one thread at a time; runtime::Secure_session keeps one per shard
     /// and reuses it across batches, so the steady-state path allocates
     /// nothing.
@@ -161,13 +161,13 @@ public:
 
     /// Crypto phase of a staged write over a contiguous run of its slots:
     /// every live slot's base OTP in one bulk AES call, B-AES into the
-    /// slot's cell, then all their MACs through the HMAC engine's
-    /// multi-buffer pipeline in one call.  `baes` and `hmac` may be
+    /// slot's cell, then all their MACs through the CMAC engine's
+    /// lock-step waves in one call.  `baes` and `mac` may be
     /// per-worker engines keyed with this memory's keys; live slots never
     /// share a cell, so disjoint runs of one staging may run concurrently.
     static void encrypt_slots(std::span<const Write_slot> slots,
                               const crypto::Baes_engine& baes,
-                              const crypto::Hmac_engine& hmac, Bulk_scratch& scratch);
+                              const crypto::Cmac_engine& mac, Bulk_scratch& scratch);
 
     /// Bulk verify-and-decrypt against caller-supplied engines: validates
     /// and locates every entry up front (an unaligned, wrong-size or
@@ -178,7 +178,7 @@ public:
     /// allowed).
     void read_units_with(std::span<const Unit_read> batch,
                          const crypto::Baes_engine& baes,
-                         const crypto::Hmac_engine& hmac, Bulk_scratch& scratch,
+                         const crypto::Cmac_engine& mac, Bulk_scratch& scratch,
                          std::span<Verify_status> out_status) const;
 
     /// XOR-fold of all stored unit MACs: the layer/model MAC the verifier
@@ -268,7 +268,7 @@ private:
 
     Config cfg_;
     crypto::Baes_engine baes_;
-    crypto::Hmac_engine hmac_;  ///< precomputed-key MAC engine
+    crypto::Cmac_engine mac_;  ///< unit MAC engine (AES-CMAC)
     // A hash map, not an ordered map: nothing observable depends on page
     // order (fold_all_macs is an order-free XOR), and nodes stay put across
     // rehash, which the Page pointers in Write_slot rely on.

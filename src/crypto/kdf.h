@@ -11,7 +11,8 @@
 // HMAC's PRF property gives computational independence between subkeys of
 // distinct (label, id) pairs; the label separates key *roles* (encryption
 // vs MAC) so the two subkeys of one tenant never coincide even when the
-// master keys do.
+// master keys do.  This is the only HMAC-SHA256 in the stack: unit MACs
+// are AES-CMAC (crypto/mac.h).
 #pragma once
 
 #include <span>
@@ -19,8 +20,12 @@
 #include <vector>
 
 #include "common/types.h"
+#include "crypto/sha256.h"
 
 namespace seda::crypto {
+
+/// HMAC-SHA256 per RFC 2104 / FIPS 198-1 (the KDF's PRF).
+[[nodiscard]] Digest256 hmac_sha256(std::span<const u8> key, std::span<const u8> message);
 
 /// Derives `out_bytes` (<= 32) of subkey from `master` for (label, id).
 /// Deterministic: same inputs, same subkey, on every platform.

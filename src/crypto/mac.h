@@ -1,8 +1,10 @@
-// Message-authentication layer: HMAC-SHA256, the 64-bit truncated block MACs
-// the protection schemes store per protected unit, and the XOR-MAC
-// aggregation that SeDA folds into layer MACs.
+// Message-authentication layer: the 64-bit truncated block MACs the
+// protection schemes store per protected unit, and the XOR-MAC aggregation
+// that SeDA folds into layer MACs.
 //
-// Two block-MAC flavours exist deliberately:
+// Every unit MAC is AES-CMAC (RFC 4493 / NIST SP 800-38B) truncated to its
+// first 64 bits, so integrity runs on the same AES engines as B-AES.  Two
+// block-MAC flavours exist deliberately:
 //   * naive_block_mac     - MAC over the ciphertext alone.  XOR-folding these
 //                           is the Securator-style layer MAC that Algorithm 2
 //                           shows is vulnerable to the Re-Permutation Attack
@@ -12,76 +14,69 @@
 //                           layer_id || fmap_idx || blk_idx, so any
 //                           re-permutation changes the layer MAC.
 //
-// Tile transfers go through the bulk entry point (positional_macs): many
-// independent unit MACs stream through the SHA-256 backend's multi-buffer
-// compressor in lock-step waves, reusing the engine's precomputed ipad/opad
-// mid-states.  Bit-identical to calling positional_mac() per unit --
-// tests/crypto/sha256_backend_test.cpp holds that equivalence on
-// equal-length and ragged batches.
+// Tile transfers go through the bulk entry point (positional_macs): the CBC
+// chains of up to 64 independent units advance in lock-step waves, one bulk
+// AES call per block position.  Single and bulk calls run the same wave
+// code, so they are bit-identical by construction; tests/crypto/
+// cmac_test.cpp holds that on equal-length and ragged batches.
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "common/types.h"
-#include "crypto/sha256.h"
+#include "crypto/aes.h"
 
 namespace seda::crypto {
 
-/// HMAC-SHA256 per RFC 2104 / FIPS 198-1.
-[[nodiscard]] Digest256 hmac_sha256(std::span<const u8> key, std::span<const u8> message);
-
 struct Mac_context;
 struct Mac_request;
-class Sha256_backend;
 
-/// Precomputed-key HMAC-SHA256 engine: the ipad/opad blocks are absorbed
-/// once at construction, saving two of the three-ish compression calls a
-/// short-message HMAC costs.  This is the verifier-side analogue of the
-/// batch crypto pipeline: Secure_memory keeps one engine per key and reuses
-/// it for every unit of a tile transfer.
+/// AES-CMAC engine for one key: the AES key schedule and the two CMAC
+/// subkeys K1/K2 are derived once at construction.  Secure_memory keeps one
+/// engine per MAC key and reuses it for every unit of a tile transfer.
 ///
 /// Thread-safety: const methods may run concurrently from any number of
-/// threads (the engine holds only immutable mid-states and a stateless
-/// backend; bulk calls keep their scratch on the caller's stack/heap).
-class Hmac_engine {
+/// threads (the engine holds only immutable key material; bulk calls keep
+/// their fixed-size scratch on the caller's stack).
+class Cmac_engine {
 public:
-    /// `kind` selects the SHA-256 compression backend for every MAC this
-    /// engine computes, single and bulk alike; auto_select resolves to the
-    /// process-wide default (SEDA_SHA_BACKEND or fast).
-    explicit Hmac_engine(std::span<const u8> key,
-                         Sha256_backend_kind kind = Sha256_backend_kind::auto_select);
+    /// `key` must be 16, 24 or 32 bytes (AES-128/192/256; Seda_error
+    /// otherwise).  `kind` selects the AES backend for every MAC this
+    /// engine computes; auto_select resolves to the process-wide default
+    /// (SEDA_AES_BACKEND, else aesni where available).
+    explicit Cmac_engine(std::span<const u8> key,
+                         Aes_backend_kind kind = Aes_backend_kind::auto_select);
 
-    /// Full HMAC-SHA256 digest of `message`.
-    [[nodiscard]] Digest256 mac(std::span<const u8> message) const;
+    /// The full 128-bit AES-CMAC tag of `message` (RFC 4493 sec. 2.4).
+    [[nodiscard]] Block16 mac(std::span<const u8> message) const;
 
     /// 64-bit truncated MAC over the ciphertext alone (RePA-vulnerable).
     [[nodiscard]] u64 naive_mac(std::span<const u8> ciphertext) const;
 
-    /// 64-bit truncated positional MAC (Alg. 2 l.8): the position fields are
-    /// streamed into the hash after the ciphertext, so no message buffer is
-    /// assembled at all.
+    /// 64-bit truncated positional MAC (Alg. 2 l.8) over the ciphertext
+    /// followed by the 28 serialized position bytes.
     [[nodiscard]] u64 positional_mac(std::span<const u8> ciphertext,
                                      const Mac_context& ctx) const;
 
     /// Bulk truncated positional MACs: out[i] = positional_mac(
-    /// reqs[i].ciphertext, reqs[i].ctx), with the independent messages
-    /// advanced in lock-step waves through the backend's multi-buffer
-    /// compressor.  Units of equal length (the fixed-size protection-unit
-    /// case) batch perfectly; ragged lengths still batch for their common
-    /// prefix of blocks.  `out.size()` must equal `reqs.size()`.  This is
-    /// the MAC half of Secure_memory's tile write/read path.
+    /// reqs[i].ciphertext, reqs[i].ctx), computed in waves of up to 64
+    /// units whose CBC chains advance together.  Ragged lengths are fine:
+    /// shorter units drop out of the later block positions.  `out.size()`
+    /// must equal `reqs.size()`.  This is the MAC half of Secure_memory's
+    /// tile write/read path.
     void positional_macs(std::span<const Mac_request> reqs, std::span<u64> out) const;
 
 private:
-    /// Forks a streaming hasher off one of the pad mid-states.
-    [[nodiscard]] Sha256 fork(const Sha256_state& state) const;
-
-    const Sha256_backend* backend_;  ///< compression impl for every path
-    Sha256_backend_kind kind_;       ///< as resolved for this engine
-    Sha256_state inner_state_{};     ///< mid-state after K0 ^ ipad
-    Sha256_state outer_state_{};     ///< mid-state after K0 ^ opad
+    Aes aes_;
+    Block16 k1_{};  ///< subkey for a complete final block
+    Block16 k2_{};  ///< subkey for a padded final block
 };
+
+/// The datapath MAC engine under its pre-CMAC name.  The repo benchmark
+/// (perfbench/src/infer_workloads.cpp) times the unit MAC as
+/// `Hmac_engine(key).positional_macs(...)` and is kept source-stable, so
+/// this spelling stays.
+using Hmac_engine = Cmac_engine;
 
 /// Position/identity fields bound into a SeDA block MAC (Algorithm 2, def.).
 struct Mac_context {
@@ -92,7 +87,7 @@ struct Mac_context {
     u32 blk_idx = 0;    ///< authentication-block index within the feature map
 };
 
-/// One entry of a bulk positional-MAC batch (Hmac_engine::positional_macs).
+/// One entry of a bulk positional-MAC batch (Cmac_engine::positional_macs).
 struct Mac_request {
     std::span<const u8> ciphertext;
     Mac_context ctx;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/bitutil.h"
-#include "common/error.h"
 #include "crypto/sha256_backend.h"
 
 namespace seda::crypto {
@@ -15,15 +14,6 @@ void Sha256::reset()
     h_ = sha256_initial_state();
     buf_len_ = 0;
     total_len_ = 0;
-}
-
-void Sha256::resume(const Sha256_state& state, u64 bytes)
-{
-    require(bytes % k_sha256_block_bytes == 0,
-            "Sha256::resume: byte count must be block-aligned");
-    h_ = state;
-    buf_len_ = 0;
-    total_len_ = bytes;
 }
 
 void Sha256::update(std::span<const u8> data)

@@ -1,12 +1,11 @@
 // FIPS 180-4 SHA-256, implemented from scratch.
 //
-// Backs the integrity-verification engine: per-unit MACs are truncated
-// HMAC-SHA256 tags (crypto/mac.h).  The compression function itself runs
-// through a pluggable backend (crypto/sha256_backend.h): a loop-form scalar
-// reference and an unrolled fast path with a multi-buffer entry point for
-// independent messages.  Validated against the FIPS vectors in
-// tests/crypto/sha256_test.cpp; backends are cross-validated bit-identical
-// in tests/crypto/sha256_backend_test.cpp.
+// Backs the tenant key derivation (HMAC-SHA256 in crypto/kdf.h); unit MACs
+// run on AES (crypto/mac.h).  The compression function runs through a
+// pluggable backend (crypto/sha256_backend.h): a loop-form scalar
+// reference, an unrolled software tier and SHA-NI.  Validated against the
+// FIPS vectors in tests/crypto/sha256_test.cpp; backends are
+// cross-validated bit-identical in tests/crypto/sha256_backend_test.cpp.
 #pragma once
 
 #include <array>
@@ -28,7 +27,7 @@ using Sha256_state = std::array<u32, 8>;
 enum class Sha256_backend_kind {
     auto_select,  ///< shani when the CPU has it, else fast; SEDA_SHA_BACKEND overrides
     scalar,       ///< loop-form FIPS 180-4 reference
-    fast,         ///< unrolled rounds, rolling schedule, multi-buffer lanes
+    fast,         ///< unrolled rounds, rolling schedule in registers
     shani,        ///< SHA-NI sha256rnds2/msg1/msg2 compression, CPUID-gated
 };
 
@@ -50,9 +49,8 @@ class Sha256_backend;
 /// Contract: update() may be called any number of times; finish() pads,
 /// returns the digest and resets the hasher, so the same object may be
 /// reused for a fresh message immediately (reuse-after-finalize is safe by
-/// construction).  Instances are freely copyable -- copying captures the
-/// mid-state, which is how Hmac_engine forks its precomputed pad blocks.
-/// Thread-compatible: distinct instances may be used concurrently; one
+/// construction).  Instances are freely copyable (a copy captures the
+/// mid-state).  Thread-compatible: distinct instances may be used concurrently; one
 /// instance must not be shared across threads while being updated.
 class Sha256 {
 public:
@@ -62,15 +60,6 @@ public:
     void update(std::span<const u8> data);
     /// Finalizes and returns the digest; the hasher resets itself for reuse.
     [[nodiscard]] Digest256 finish();
-
-    /// Restarts the hasher mid-stream: chaining state `state` with `bytes`
-    /// already absorbed (must be a multiple of the 64-byte block size).
-    /// This is how Hmac_engine forks per-message hashers off one
-    /// precomputed pad-block state without re-hashing or duplicating it.
-    void resume(const Sha256_state& state, u64 bytes);
-
-    /// The backend this hasher compresses through.
-    [[nodiscard]] const Sha256_backend& backend() const { return *backend_; }
 
 private:
     const Sha256_backend* backend_;

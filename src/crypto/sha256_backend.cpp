@@ -6,11 +6,6 @@
 #include "common/bitutil.h"
 #include "common/envutil.h"
 
-// The generic-vector round helpers pass u32xv by value between file-local
-// inline functions; GCC warns that the ABI would change if AVX were enabled
-// at compile time, which is moot for internal-linkage code in one TU.
-#pragma GCC diagnostic ignored "-Wpsabi"
-
 namespace seda::crypto {
 namespace {
 
@@ -29,16 +24,14 @@ constexpr std::array<u32, 64> k_k = {
     0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
-// The FIPS logical functions, written type-generically so the same round
-// code runs on a plain u32 (one message) or on a GCC vector of u32 lanes
-// (one message per lane, the multi-buffer path).
-template <typename W> constexpr W rotr_w(W x, int s) { return (x >> s) | (x << (32 - s)); }
-template <typename W> constexpr W big_sigma0(W x) { return rotr_w(x, 2) ^ rotr_w(x, 13) ^ rotr_w(x, 22); }
-template <typename W> constexpr W big_sigma1(W x) { return rotr_w(x, 6) ^ rotr_w(x, 11) ^ rotr_w(x, 25); }
-template <typename W> constexpr W small_sigma0(W x) { return rotr_w(x, 7) ^ rotr_w(x, 18) ^ (x >> 3); }
-template <typename W> constexpr W small_sigma1(W x) { return rotr_w(x, 17) ^ rotr_w(x, 19) ^ (x >> 10); }
-template <typename W> constexpr W ch(W x, W y, W z) { return (x & y) ^ (~x & z); }
-template <typename W> constexpr W maj(W x, W y, W z) { return (x & y) ^ (x & z) ^ (y & z); }
+// The FIPS logical functions (sec. 4.1.2).
+constexpr u32 rotr(u32 x, int s) { return (x >> s) | (x << (32 - s)); }
+constexpr u32 big_sigma0(u32 x) { return rotr(x, 2) ^ rotr(x, 13) ^ rotr(x, 22); }
+constexpr u32 big_sigma1(u32 x) { return rotr(x, 6) ^ rotr(x, 11) ^ rotr(x, 25); }
+constexpr u32 small_sigma0(u32 x) { return rotr(x, 7) ^ rotr(x, 18) ^ (x >> 3); }
+constexpr u32 small_sigma1(u32 x) { return rotr(x, 17) ^ rotr(x, 19) ^ (x >> 10); }
+constexpr u32 ch(u32 x, u32 y, u32 z) { return (x & y) ^ (~x & z); }
+constexpr u32 maj(u32 x, u32 y, u32 z) { return (x & y) ^ (x & z) ^ (y & z); }
 
 // ------------------------------------------------------- scalar backend ----
 
@@ -90,47 +83,17 @@ public:
 
 // --------------------------------------------------------- fast backend ----
 //
-// One type-generic round body serves two gears:
-//
-//   * W = u32      - a single message, fully unrolled: the 16-word message
-//                    schedule rolls through w[t & 15] in registers and the
-//                    a..h working variables are *renamed* per round (the
-//                    macro arguments rotate) instead of shifted, so the
-//                    eight values never move.
-//   * W = u32xv    - one independent message per SIMD lane (GCC generic
-//                    vectors, so the same source compiles to SSE, AVX2 or
-//                    plain scalar code depending on the target).  Every
-//                    round instruction advances all lanes at once -- the
-//                    multi-buffer discipline hardware SHA extensions and
-//                    OpenSSL's sha256_mb use, without intrinsics.
-//
-// compress_many feeds full lane groups through the vector gear and the
-// tail through the unrolled scalar gear.
-
-/// The multi-buffer lane vector; element j belongs to message j of the
-/// current group.  16 bytes = 4 lanes, the SSE register width every x86-64
-/// baseline has: wider vectors measured *slower* here because without
-/// -mavx2 GCC splits them in two and the working set spills (and on this
-/// repo's reference Xeon, 8 scalar-interleaved lanes spill the GP file the
-/// same way).  On an AVX2-targeted build (-march=native etc.) the lane
-/// widens to 32 bytes = 8 messages per pass, keeping this tier competitive
-/// as the fallback below shani.
-#if defined(__AVX2__)
-using u32xv = u32 __attribute__((vector_size(32)));
-#else
-using u32xv = u32 __attribute__((vector_size(16)));
-#endif
-
-/// Lanes a word type carries: 1 for u32, 4 for u32xv.
-template <typename W>
-inline constexpr std::size_t k_lanes_of = sizeof(W) / sizeof(u32);
+// Fully unrolled: the 16-word message schedule rolls through w[t & 15] in
+// registers and the a..h working variables are *renamed* per round (the
+// macro arguments rotate) instead of shifted, so the eight values never
+// move.
 
 // One round at index `i`: reads the rolling schedule, bumps D and H.
-// A..H name W-typed locals holding the working variables in rotated roles.
+// A..H name the locals holding the working variables in rotated roles.
 #define SEDA_SHA_RND(A, B, C, D, E, F, G, H, i)                                  \
     {                                                                            \
-        const W t1 = H + big_sigma1(E) + ch(E, F, G) + k_k[(i)] + w[(i) & 15];   \
-        const W t2 = big_sigma0(A) + maj(A, B, C);                               \
+        const u32 t1 = H + big_sigma1(E) + ch(E, F, G) + k_k[(i)] + w[(i) & 15]; \
+        const u32 t2 = big_sigma0(A) + maj(A, B, C);                             \
         D += t1;                                                                 \
         H = t1 + t2;                                                             \
     }
@@ -141,29 +104,13 @@ inline constexpr std::size_t k_lanes_of = sizeof(W) / sizeof(u32);
                    small_sigma0(w[((i) + 1) & 15]);                              \
     SEDA_SHA_RND(A, B, C, D, E, F, G, H, i)
 
-/// One compression over k_lanes_of<W> independent (state, block) pairs.
-template <typename W>
-void compress_batch(Sha256_state* const* states, const u8* const* blocks)
+/// One unrolled compression of the 64-byte block at `p` into `s`.
+void compress_unrolled(Sha256_state& s, const u8* p)
 {
-    constexpr std::size_t L = k_lanes_of<W>;
-    W w[16];
-    W a, b, c, d, e, f, g, h;
-    if constexpr (L == 1) {
-        for (int t = 0; t < 16; ++t) w[t] = load_be32(blocks[0] + 4 * t);
-        const Sha256_state& s = *states[0];
-        a = s[0]; b = s[1]; c = s[2]; d = s[3];
-        e = s[4]; f = s[5]; g = s[6]; h = s[7];
-    } else {
-        // Transpose the lane blocks and states into vector form: word t of
-        // every message lands in w[t], one message per lane.
-        for (int t = 0; t < 16; ++t)
-            for (std::size_t j = 0; j < L; ++j) w[t][j] = load_be32(blocks[j] + 4 * t);
-        for (std::size_t j = 0; j < L; ++j) {
-            const Sha256_state& s = *states[j];
-            a[j] = s[0]; b[j] = s[1]; c[j] = s[2]; d[j] = s[3];
-            e[j] = s[4]; f[j] = s[5]; g[j] = s[6]; h[j] = s[7];
-        }
-    }
+    u32 w[16];
+    for (int t = 0; t < 16; ++t) w[t] = load_be32(p + 4 * t);
+    u32 a = s[0], b = s[1], c = s[2], d = s[3];
+    u32 e = s[4], f = s[5], g = s[6], h = s[7];
 
     SEDA_SHA_RND(a, b, c, d, e, f, g, h, 0)
     SEDA_SHA_RND(h, a, b, c, d, e, f, g, 1)
@@ -230,17 +177,8 @@ void compress_batch(Sha256_state* const* states, const u8* const* blocks)
     SEDA_SHA_RNDX(c, d, e, f, g, h, a, b, 62)
     SEDA_SHA_RNDX(b, c, d, e, f, g, h, a, 63)
 
-    if constexpr (L == 1) {
-        Sha256_state& s = *states[0];
-        s[0] += a; s[1] += b; s[2] += c; s[3] += d;
-        s[4] += e; s[5] += f; s[6] += g; s[7] += h;
-    } else {
-        for (std::size_t j = 0; j < L; ++j) {
-            Sha256_state& s = *states[j];
-            s[0] += a[j]; s[1] += b[j]; s[2] += c[j]; s[3] += d[j];
-            s[4] += e[j]; s[5] += f[j]; s[6] += g[j]; s[7] += h[j];
-        }
-    }
+    s[0] += a; s[1] += b; s[2] += c; s[3] += d;
+    s[4] += e; s[5] += f; s[6] += g; s[7] += h;
 }
 
 #undef SEDA_SHA_RNDX
@@ -252,35 +190,7 @@ public:
 
     void compress(Sha256_state& state, const u8* data, std::size_t nblocks) const override
     {
-        // A single message stream is one serial chain; nothing to batch, so
-        // the unrolled scalar gear is the whole win here.
-        Sha256_state* sp = &state;
-        for (std::size_t b = 0; b < nblocks; ++b) {
-            const u8* block = data + 64 * b;
-            compress_batch<u32>(&sp, &block);
-        }
-    }
-
-    void compress_many(std::span<const Sha256_job> jobs) const override
-    {
-        std::size_t i = 0;
-        for (; i + k_group <= jobs.size(); i += k_group) run_group<u32xv>(&jobs[i]);
-        for (; i < jobs.size(); ++i) run_group<u32>(&jobs[i]);
-    }
-
-private:
-    static constexpr std::size_t k_group = k_lanes_of<u32xv>;
-
-    template <typename W>
-    static void run_group(const Sha256_job* jobs)
-    {
-        Sha256_state* states[k_lanes_of<W>];
-        const u8* blocks[k_lanes_of<W>];
-        for (std::size_t j = 0; j < k_lanes_of<W>; ++j) {
-            states[j] = jobs[j].state;
-            blocks[j] = jobs[j].block;
-        }
-        compress_batch<W>(states, blocks);
+        for (std::size_t b = 0; b < nblocks; ++b) compress_unrolled(state, data + 64 * b);
     }
 };
 
@@ -288,11 +198,6 @@ const Scalar_sha256_backend k_scalar_sha256_backend;
 const Fast_sha256_backend k_fast_sha256_backend;
 
 }  // namespace
-
-void Sha256_backend::compress_many(std::span<const Sha256_job> jobs) const
-{
-    for (const Sha256_job& job : jobs) compress(*job.state, job.block, 1);
-}
 
 const Sha256_backend& scalar_sha256_backend() { return k_scalar_sha256_backend; }
 const Sha256_backend& fast_sha256_backend() { return k_fast_sha256_backend; }

@@ -1,33 +1,27 @@
 // Pluggable SHA-256 compression implementations, mirroring crypto/aes_backend.h.
 //
-// The integrity side of the secure-memory stack pushes every protected unit
-// through HMAC-SHA256, so after PR 1 made AES-CTR table-driven the MAC's
-// compression function became the hottest loop in the repo.  Two backends
-// exist deliberately:
+// SHA-256 serves only the key-derivation function (crypto/kdf.h, HMAC-SHA256
+// per tenant key); the unit MACs run on AES (crypto/mac.h).  Three backends
+// exist:
 //
 //   * scalar - the loop-form compression that mirrors the FIPS 180-4
 //              pseudocode (64-entry message schedule in memory, one round
 //              per loop iteration).  Slow, but the obviously-correct
 //              reference every other backend is cross-validated against.
 //   * fast   - fully unrolled rounds with the 16-word rolling message
-//              schedule kept in registers, plus a multi-buffer
-//              compress_many that interleaves independent messages to hide
-//              the serial a..h dependency chain (GCC generic vectors; the
-//              lane widens to 32 B on AVX2-targeted builds).  The fallback
-//              tier on CPUs without the SHA extensions.
-//   * shani  - hardware compression via sha256rnds2/sha256msg1/sha256msg2,
-//              with a compress_many that round-robins two independent
-//              messages through the pipeline per pass.  CPUID-gated at
-//              runtime; the default wherever available
+//              schedule kept in registers.  The fallback tier on CPUs
+//              without the SHA extensions.
+//   * shani  - hardware compression via sha256rnds2/sha256msg1/sha256msg2.
+//              CPUID-gated at runtime; the default wherever available
 //              (src/crypto/sha256_backend_shani.cpp).
 //
 // Backends are stateless singletons (immutable round constants only), so
 // const use is thread-safe and one backend object serves any number of
-// hashers concurrently.  Selection happens at Sha256 / Hmac_engine
-// construction (Sha256_backend_kind); auto_select resolves once per process
-// to the best available tier (shani -> fast) unless the SEDA_SHA_BACKEND
-// environment variable names a backend, which is the cross-validation
-// escape hatch for whole binaries.
+// hashers concurrently.  Selection happens at Sha256 construction
+// (Sha256_backend_kind); auto_select resolves once per process to the best
+// available tier (shani -> fast) unless the SEDA_SHA_BACKEND environment
+// variable names a backend, which is the cross-validation escape hatch for
+// whole binaries.
 #pragma once
 
 #include <span>
@@ -48,14 +42,6 @@ inline constexpr std::size_t k_sha256_block_bytes = 64;
             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
 }
 
-/// One unit of multi-buffer work: advance `state` by compressing the
-/// 64-byte block at `block`.  States of concurrent jobs must be distinct
-/// objects; blocks may alias freely (they are only read).
-struct Sha256_job {
-    Sha256_state* state = nullptr;
-    const u8* block = nullptr;
-};
-
 /// One compression implementation.  Implementations must be stateless
 /// (aside from immutable tables) so const use is thread-safe.
 class Sha256_backend {
@@ -68,19 +54,12 @@ public:
     /// `state` (one serial message stream).
     virtual void compress(Sha256_state& state, const u8* data,
                           std::size_t nblocks) const = 0;
-
-    /// Multi-buffer interface: performs one compression per job, each over
-    /// an independent state.  The base implementation loops compress();
-    /// fast backends interleave several jobs per pass so the per-round
-    /// dependency chains of independent messages overlap.  Bit-identical
-    /// to the serial loop by contract.
-    virtual void compress_many(std::span<const Sha256_job> jobs) const;
 };
 
 /// The loop-form FIPS 180-4 reference backend.
 [[nodiscard]] const Sha256_backend& scalar_sha256_backend();
 
-/// The unrolled + multi-buffer fast backend.
+/// The unrolled fast backend.
 [[nodiscard]] const Sha256_backend& fast_sha256_backend();
 
 /// The SHA-NI hardware backend, or nullptr when it can't run here (CPU

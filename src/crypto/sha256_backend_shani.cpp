@@ -6,14 +6,9 @@
 // instead of the software tier's ~64 unrolled scalar rounds, and the state
 // never leaves two XMM registers.
 //
-// The rnds2 chain of one message is serial (latency ~4-6 cycles, one start
-// per chain step), so single-stream compression is latency-bound exactly
-// like the software tiers.  compress_many therefore round-robins TWO
-// independent messages through the pipeline per pass -- every instruction
-// of message B issues in the shadow of message A's chain -- which is the
-// same multi-buffer discipline Hmac_engine's wave scheduler was shaped for.
-// Two is the sweet spot: the working set (2 states + 2x4 schedule + 2
-// message temps + saves) already fills the 16-register XMM file.
+// The rnds2 chain of one message is serial (latency ~4-6 cycles), so a
+// stream is latency-bound; SHA-256 serves only the KDF now (a few blocks
+// per tenant key), so there is no multi-buffer gear.
 //
 // State packing follows the instruction's convention: state0 = ABEF,
 // state1 = CDGH (high lane first), entered and left through the canonical
@@ -66,117 +61,90 @@ inline __m128i load_be_words(const u8* p)
     return _mm_shuffle_epi8(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)), mask);
 }
 
-/// Four rounds over N interleaved messages with the schedule update for the
-/// NEXT occurrence of this group's registers: cur holds W[4g..4g+3], nxt
-/// accumulates W[4g+4..4g+7], prev is fed through msg1 for the group after.
-/// The three-operand schedule recurrence maps onto alignr + add + msg2
-/// (sigma1 + adds) and msg1 (sigma0 + add), per the instruction split.
-#define SEDA_SHANI_GRP(g, cur, nxt, prev, do_msg1)                                       \
-    for (int j = 0; j < N; ++j) msg[j] = _mm_add_epi32(cur[j], k4(g));                   \
-    for (int j = 0; j < N; ++j) s1[j] = _mm_sha256rnds2_epu32(s1[j], s0[j], msg[j]);     \
-    for (int j = 0; j < N; ++j)                                                          \
-        nxt[j] = _mm_sha256msg2_epu32(                                                   \
-            _mm_add_epi32(nxt[j], _mm_alignr_epi8(cur[j], prev[j], 4)), cur[j]);         \
-    for (int j = 0; j < N; ++j) msg[j] = _mm_shuffle_epi32(msg[j], 0x0E);                \
-    for (int j = 0; j < N; ++j) s0[j] = _mm_sha256rnds2_epu32(s0[j], s1[j], msg[j]);     \
-    if constexpr (do_msg1)                                                               \
-        for (int j = 0; j < N; ++j) prev[j] = _mm_sha256msg1_epu32(prev[j], cur[j]);
+/// Four rounds with the schedule update for the NEXT occurrence of this
+/// group's registers: cur holds W[4g..4g+3], nxt accumulates
+/// W[4g+4..4g+7], prev is fed through msg1 for the group after.  The
+/// three-operand schedule recurrence maps onto alignr + add + msg2 (sigma1
+/// + adds) and msg1 (sigma0 + add), per the instruction split.
+#define SEDA_SHANI_GRP(g, cur, nxt, prev, do_msg1)                                 \
+    msg = _mm_add_epi32(cur, k4(g));                                               \
+    s1 = _mm_sha256rnds2_epu32(s1, s0, msg);                                       \
+    nxt = _mm_sha256msg2_epu32(_mm_add_epi32(nxt, _mm_alignr_epi8(cur, prev, 4)), cur); \
+    msg = _mm_shuffle_epi32(msg, 0x0E);                                            \
+    s0 = _mm_sha256rnds2_epu32(s0, s1, msg);                                       \
+    if constexpr (do_msg1) prev = _mm_sha256msg1_epu32(prev, cur);
 
-/// One 64-byte block over N interleaved messages; states stay packed as
-/// (ABEF, CDGH) in s0/s1.
-template <int N>
-inline void compress_rounds(__m128i (&s0)[N], __m128i (&s1)[N], const u8* (&p)[N])
+/// Four rounds over the schedule words `w` of group `g`: each rnds2 runs
+/// two, the second on the high pair.
+#define SEDA_SHANI_RNDS4(w, g)                                                     \
+    msg = _mm_add_epi32(w, k4(g));                                                 \
+    s1 = _mm_sha256rnds2_epu32(s1, s0, msg);                                       \
+    msg = _mm_shuffle_epi32(msg, 0x0E);                                            \
+    s0 = _mm_sha256rnds2_epu32(s0, s1, msg);
+
+/// `nblocks` consecutive 64-byte blocks of one stream; the packed state
+/// enters and leaves registers exactly once.
+void compress_shani(Sha256_state& state, const u8* p, std::size_t nblocks)
 {
-    __m128i save0[N], save1[N], t0[N], t1[N], t2[N], t3[N], msg[N];
-    for (int j = 0; j < N; ++j) save0[j] = s0[j];
-    for (int j = 0; j < N; ++j) save1[j] = s1[j];
+    // (a,b,c,d) and (e,f,g,h) -> the (ABEF, CDGH) packing rnds2 wants.
+    __m128i abcd = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state.data()));
+    __m128i efgh = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state.data() + 4));
+    abcd = _mm_shuffle_epi32(abcd, 0xB1);             // (b,a,d,c)
+    efgh = _mm_shuffle_epi32(efgh, 0x1B);             // (h,g,f,e)
+    __m128i s0 = _mm_alignr_epi8(abcd, efgh, 8);      // ABEF
+    __m128i s1 = _mm_blend_epi16(efgh, abcd, 0xF0);   // CDGH
 
-    // Rounds 0-3: schedule registers fill as the first groups retire.
-    for (int j = 0; j < N; ++j) t0[j] = load_be_words(p[j]);
-    for (int j = 0; j < N; ++j) msg[j] = _mm_add_epi32(t0[j], k4(0));
-    for (int j = 0; j < N; ++j) s1[j] = _mm_sha256rnds2_epu32(s1[j], s0[j], msg[j]);
-    for (int j = 0; j < N; ++j) msg[j] = _mm_shuffle_epi32(msg[j], 0x0E);
-    for (int j = 0; j < N; ++j) s0[j] = _mm_sha256rnds2_epu32(s0[j], s1[j], msg[j]);
+    for (std::size_t b = 0; b < nblocks; ++b, p += 64) {
+        const __m128i save0 = s0;
+        const __m128i save1 = s1;
+        __m128i msg;
 
-    // Rounds 4-7.
-    for (int j = 0; j < N; ++j) t1[j] = load_be_words(p[j] + 16);
-    for (int j = 0; j < N; ++j) msg[j] = _mm_add_epi32(t1[j], k4(1));
-    for (int j = 0; j < N; ++j) s1[j] = _mm_sha256rnds2_epu32(s1[j], s0[j], msg[j]);
-    for (int j = 0; j < N; ++j) msg[j] = _mm_shuffle_epi32(msg[j], 0x0E);
-    for (int j = 0; j < N; ++j) s0[j] = _mm_sha256rnds2_epu32(s0[j], s1[j], msg[j]);
-    for (int j = 0; j < N; ++j) t0[j] = _mm_sha256msg1_epu32(t0[j], t1[j]);
+        // Rounds 0-11: schedule registers fill as the first groups retire.
+        __m128i t0 = load_be_words(p);
+        SEDA_SHANI_RNDS4(t0, 0)
+        __m128i t1 = load_be_words(p + 16);
+        SEDA_SHANI_RNDS4(t1, 1)
+        t0 = _mm_sha256msg1_epu32(t0, t1);
+        __m128i t2 = load_be_words(p + 32);
+        SEDA_SHANI_RNDS4(t2, 2)
+        t1 = _mm_sha256msg1_epu32(t1, t2);
 
-    // Rounds 8-11.
-    for (int j = 0; j < N; ++j) t2[j] = load_be_words(p[j] + 32);
-    for (int j = 0; j < N; ++j) msg[j] = _mm_add_epi32(t2[j], k4(2));
-    for (int j = 0; j < N; ++j) s1[j] = _mm_sha256rnds2_epu32(s1[j], s0[j], msg[j]);
-    for (int j = 0; j < N; ++j) msg[j] = _mm_shuffle_epi32(msg[j], 0x0E);
-    for (int j = 0; j < N; ++j) s0[j] = _mm_sha256rnds2_epu32(s0[j], s1[j], msg[j]);
-    for (int j = 0; j < N; ++j) t1[j] = _mm_sha256msg1_epu32(t1[j], t2[j]);
+        // Rounds 12-15: the last load; the schedule recurrence starts rolling.
+        __m128i t3 = load_be_words(p + 48);
+        SEDA_SHANI_GRP(3, t3, t0, t2, true)
 
-    // Rounds 12-15: the last loads; the schedule recurrence starts rolling.
-    for (int j = 0; j < N; ++j) t3[j] = load_be_words(p[j] + 48);
-    SEDA_SHANI_GRP(3, t3, t0, t2, true)
+        // Rounds 16-51: the rolling pattern, schedule registers rotating roles.
+        SEDA_SHANI_GRP(4, t0, t1, t3, true)
+        SEDA_SHANI_GRP(5, t1, t2, t0, true)
+        SEDA_SHANI_GRP(6, t2, t3, t1, true)
+        SEDA_SHANI_GRP(7, t3, t0, t2, true)
+        SEDA_SHANI_GRP(8, t0, t1, t3, true)
+        SEDA_SHANI_GRP(9, t1, t2, t0, true)
+        SEDA_SHANI_GRP(10, t2, t3, t1, true)
+        SEDA_SHANI_GRP(11, t3, t0, t2, true)
+        SEDA_SHANI_GRP(12, t0, t1, t3, true)
 
-    // Rounds 16-51: the rolling pattern, schedule registers rotating roles.
-    SEDA_SHANI_GRP(4, t0, t1, t3, true)
-    SEDA_SHANI_GRP(5, t1, t2, t0, true)
-    SEDA_SHANI_GRP(6, t2, t3, t1, true)
-    SEDA_SHANI_GRP(7, t3, t0, t2, true)
-    SEDA_SHANI_GRP(8, t0, t1, t3, true)
-    SEDA_SHANI_GRP(9, t1, t2, t0, true)
-    SEDA_SHANI_GRP(10, t2, t3, t1, true)
-    SEDA_SHANI_GRP(11, t3, t0, t2, true)
-    SEDA_SHANI_GRP(12, t0, t1, t3, true)
+        // Rounds 52-59: no further msg1 -- W[64..] is never needed.
+        SEDA_SHANI_GRP(13, t1, t2, t0, false)
+        SEDA_SHANI_GRP(14, t2, t3, t1, false)
 
-    // Rounds 52-59: no further msg1 -- W[64..] is never needed.
-    SEDA_SHANI_GRP(13, t1, t2, t0, false)
-    SEDA_SHANI_GRP(14, t2, t3, t1, false)
+        // Rounds 60-63.
+        SEDA_SHANI_RNDS4(t3, 15)
 
-    // Rounds 60-63.
-    for (int j = 0; j < N; ++j) msg[j] = _mm_add_epi32(t3[j], k4(15));
-    for (int j = 0; j < N; ++j) s1[j] = _mm_sha256rnds2_epu32(s1[j], s0[j], msg[j]);
-    for (int j = 0; j < N; ++j) msg[j] = _mm_shuffle_epi32(msg[j], 0x0E);
-    for (int j = 0; j < N; ++j) s0[j] = _mm_sha256rnds2_epu32(s0[j], s1[j], msg[j]);
+        s0 = _mm_add_epi32(s0, save0);
+        s1 = _mm_add_epi32(s1, save1);
+    }
 
-    for (int j = 0; j < N; ++j) s0[j] = _mm_add_epi32(s0[j], save0[j]);
-    for (int j = 0; j < N; ++j) s1[j] = _mm_add_epi32(s1[j], save1[j]);
+    const __m128i feba = _mm_shuffle_epi32(s0, 0x1B);   // (a,b,e,f)
+    const __m128i dchg = _mm_shuffle_epi32(s1, 0xB1);   // (g,h,c,d)
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(state.data()),
+                     _mm_blend_epi16(feba, dchg, 0xF0));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(state.data() + 4),
+                     _mm_alignr_epi8(dchg, feba, 8));
 }
 
+#undef SEDA_SHANI_RNDS4
 #undef SEDA_SHANI_GRP
-
-/// N message streams, `nblocks` consecutive blocks each; the packed states
-/// enter and leave registers exactly once.
-template <int N>
-void compress_shani(Sha256_state* (&states)[N], const u8* (&p)[N], std::size_t nblocks)
-{
-    __m128i s0[N], s1[N];
-    for (int j = 0; j < N; ++j) {
-        // (a,b,c,d) and (e,f,g,h) -> the (ABEF, CDGH) packing rnds2 wants.
-        __m128i abcd =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(states[j]->data()));
-        __m128i efgh =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(states[j]->data() + 4));
-        abcd = _mm_shuffle_epi32(abcd, 0xB1);             // (b,a,d,c)
-        efgh = _mm_shuffle_epi32(efgh, 0x1B);             // (h,g,f,e)
-        s0[j] = _mm_alignr_epi8(abcd, efgh, 8);           // ABEF
-        s1[j] = _mm_blend_epi16(efgh, abcd, 0xF0);        // CDGH
-    }
-
-    for (std::size_t b = 0; b < nblocks; ++b) {
-        compress_rounds<N>(s0, s1, p);
-        for (int j = 0; j < N; ++j) p[j] += 64;
-    }
-
-    for (int j = 0; j < N; ++j) {
-        const __m128i feba = _mm_shuffle_epi32(s0[j], 0x1B);   // (a,b,e,f)
-        const __m128i dchg = _mm_shuffle_epi32(s1[j], 0xB1);   // (g,h,c,d)
-        const __m128i abcd = _mm_blend_epi16(feba, dchg, 0xF0);
-        const __m128i efgh = _mm_alignr_epi8(dchg, feba, 8);
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(states[j]->data()), abcd);
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(states[j]->data() + 4), efgh);
-    }
-}
 
 class Shani_sha256_backend final : public Sha256_backend {
 public:
@@ -184,35 +152,7 @@ public:
 
     void compress(Sha256_state& state, const u8* data, std::size_t nblocks) const override
     {
-        Sha256_state* states[1] = {&state};
-        const u8* p[1] = {data};
-        compress_shani<1>(states, p, nblocks);
-    }
-
-    void compress_many(std::span<const Sha256_job> jobs) const override
-    {
-        // Four-stream waves, then a pair, then a lone message.  Four lanes
-        // oversubscribe the XMM file, but the t-register spills land on the
-        // load/store ports while every sha256* (and shuffle) instruction
-        // competes for ONE execution port; keeping four serial rnds2 chains
-        // in flight is what fills it.  Wider waves lose to spill traffic:
-        // measured on tile-sized batches (bm_hmac_units_bulk) 4 lanes beat
-        // 2, 6 and 8 on a SHA-NI Xeon.
-        std::size_t i = 0;
-        for (; i + 4 <= jobs.size(); i += 4) {
-            Sha256_state* states[4] = {jobs[i].state, jobs[i + 1].state,
-                                       jobs[i + 2].state, jobs[i + 3].state};
-            const u8* p[4] = {jobs[i].block, jobs[i + 1].block, jobs[i + 2].block,
-                              jobs[i + 3].block};
-            compress_shani<4>(states, p, 1);
-        }
-        if (i + 2 <= jobs.size()) {
-            Sha256_state* states[2] = {jobs[i].state, jobs[i + 1].state};
-            const u8* p[2] = {jobs[i].block, jobs[i + 1].block};
-            compress_shani<2>(states, p, 1);
-            i += 2;
-        }
-        if (i < jobs.size()) compress(*jobs[i].state, jobs[i].block, 1);
+        compress_shani(state, data, nblocks);
     }
 };
 

@@ -57,7 +57,7 @@ class Trace_player {
 public:
     /// Default dispatch cap: bounds the staging scratch at 4096 units
     /// (256 KiB of payload) while keeping bulk calls deep enough to feed
-    /// the multi-buffer crypto pipelines.
+    /// the bulk crypto pipelines.
     static constexpr std::size_t k_default_max_batch_units = 4096;
 
     /// The engine's record of the last plaintext written per unit, one

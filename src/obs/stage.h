@@ -40,7 +40,7 @@ enum class Stage : u8 {
     // calls too -- a session-level span would just repeat flush_write/read)
     stage_writes,  ///< validate + VN bump + slot staging
     baes,          ///< base-OTP batch + per-slot B-AES
-    bulk_mac,      ///< bulk positional HMAC (write MACs / read expected MACs)
+    bulk_mac,      ///< bulk positional CMAC (write MACs / read expected MACs)
     locate,        ///< read-side validate + locate + VN fetch
     verify,        ///< read-side MAC compare + decrypt
     // infer: trace replay

@@ -25,7 +25,7 @@ void Secure_session::build_workers(std::span<const u8> enc_key, std::span<const 
     workers_.reserve(pool_->size() + 1);
     for (std::size_t w = 0; w <= pool_->size(); ++w)
         workers_.push_back(
-            {crypto::Baes_engine(enc_key), crypto::Hmac_engine(mac_key), {}});
+            {crypto::Baes_engine(enc_key), crypto::Cmac_engine(mac_key), {}});
 }
 
 void Secure_session::write_units(std::span<const core::Secure_memory::Unit_write> batch)
@@ -44,10 +44,10 @@ void Secure_session::write_units(std::span<const core::Secure_memory::Unit_write
     pool_->parallel_for(slots.size(), [&](std::size_t executor, Index_range range) {
         Worker_state& ws = workers_[executor];
         // Whole-chunk bulk phase: B-AES per slot, then every MAC of the
-        // chunk through the multi-buffer HMAC pipeline in one call
+        // chunk through one bulk CMAC call
         // (superseded entries are skipped inside).
         core::Secure_memory::encrypt_slots(slots.subspan(range.begin, range.size()),
-                                           ws.baes, ws.hmac, ws.scratch);
+                                           ws.baes, ws.mac, ws.scratch);
     });
 }
 
@@ -65,9 +65,9 @@ std::vector<core::Verify_status> Secure_session::read_units(
     pool_->parallel_for(batch.size(), [&](std::size_t executor, Index_range range) {
         Worker_state& ws = workers_[executor];
         // Chunk-wide bulk verify-and-decrypt: expected MACs batch through
-        // the multi-buffer pipeline, statuses land in this chunk's slice.
+        // the CMAC waves, statuses land in this chunk's slice.
         mem_.read_units_with(batch.subspan(range.begin, range.size()), ws.baes,
-                             ws.hmac, ws.scratch,
+                             ws.mac, ws.scratch,
                              std::span<core::Verify_status>(statuses)
                                  .subspan(range.begin, range.size()));
     });

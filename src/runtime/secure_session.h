@@ -10,7 +10,7 @@
 //                 serial ordering would) then the expensive crypto phase
 //                 fanned across contiguous chunks, each chunk running
 //                 batched base OTPs, B-AES per unit and one bulk
-//                 multi-buffer HMAC call for its whole slot range
+//                 AES-CMAC call for its whole slot range
 //                 (encrypt_slots).
 //   read_units:   no staging needed; each chunk bulk-verifies and decrypts
 //                 its contiguous range via the const read_units_with path.
@@ -34,7 +34,7 @@
 //
 // Thread-safety: every executor owns its own Worker_state -- one for the
 // caller (executor 0) plus one per pool worker (executor 1 + w), each a
-// Baes_engine / Hmac_engine pair (keyed with the session keys) plus the
+// Baes_engine / Cmac_engine pair (keyed with the session keys) plus the
 // bulk crypto scratch, reused across batches -- so no crypto state is
 // shared at all and the steady-state batch path allocates no crypto
 // scratch.  The session itself is thread-compatible like its substrate:
@@ -103,7 +103,7 @@ private:
     /// steady-state path is allocation-free.
     struct Worker_state {
         crypto::Baes_engine baes;
-        crypto::Hmac_engine hmac;
+        crypto::Cmac_engine mac;
         core::Secure_memory::Bulk_scratch scratch;
     };
 

@@ -3,8 +3,9 @@
 //
 // Layered public API (include just the layer you need):
 //
-//   crypto    - AES/CTR/B-AES, SHA-256, HMAC, positional & XOR MACs,
-//               SECA / RePA attack models, 28 nm engine cost model
+//   crypto    - AES/CTR/B-AES, AES-CMAC positional & XOR MACs, HMAC-SHA256
+//               key derivation, SECA / RePA attack models, 28 nm engine
+//               cost model
 //   dram      - open-page DDR timing model with FR-FCFS scheduling
 //   accel     - layers, NPU configs, systolic cycle model, tiler, traces,
 //               SCALE-Sim-style reports

@@ -2,8 +2,8 @@
 // per-tenant bulk Secure_session calls.
 //
 // This is the piece that keeps the PR 1-3 crypto substrate fed: a single
-// 64 B request pays the whole per-call setup and a lone HMAC, while a
-// coalesced batch streams every MAC through the multi-buffer pipeline and
+// 64 B request pays the whole per-call setup and a lone MAC chain, while a
+// coalesced batch advances every unit's MAC in the same bulk AES calls and
 // every pad through the bulk CTR gear.  The scheduler's contract:
 //
 //   * per-tenant CONFLICT ORDER IS PRESERVED -- within one tenant's

@@ -14,7 +14,7 @@
 //                table), fronted by a runtime::Secure_session that shares
 //                the server-wide Thread_pool.  Address spaces of different
 //                tenants overlap freely and never alias.
-//   * engines  - the session's per-worker Baes/Hmac engines are keyed with
+//   * engines  - the session's per-worker Baes/Cmac engines are keyed with
 //                the tenant keys, so a unit spliced from another tenant's
 //                memory fails MAC verification (tests/serve/ holds this,
 //                tamper and replay included).

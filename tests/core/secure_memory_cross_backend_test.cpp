@@ -1,6 +1,6 @@
 // Stored units must verify under every crypto backend: ciphertext and MACs
-// sealed with one AES / SHA-256 backend pair are read back through engines
-// forced to another.  The suite JSON cannot witness this -- it prices
+// sealed with one (B-AES, CMAC) pair of AES backends are read back through
+// engines forced to another pair.  The suite JSON cannot witness this -- it prices
 // traffic analytically and never runs a cipher -- so these tests are what
 // keeps a backend switch from stranding data already in memory.  Hardware
 // kinds the host lacks are left out of the sweep.
@@ -11,7 +11,6 @@
 #include "common/rng.h"
 #include "core/secure_memory.h"
 #include "crypto/aes_backend.h"
-#include "crypto/sha256_backend.h"
 
 namespace seda::core {
 namespace {
@@ -70,14 +69,6 @@ std::vector<crypto::Aes_backend_kind> aes_kinds()
     return kinds;
 }
 
-std::vector<crypto::Sha256_backend_kind> sha_kinds()
-{
-    std::vector<crypto::Sha256_backend_kind> kinds;
-    for (const auto kind : crypto::all_sha256_backend_kinds())
-        if (crypto::sha256_backend_available(kind)) kinds.push_back(kind);
-    return kinds;
-}
-
 TEST(SecureMemoryCrossBackend, DefaultWritesVerifyUnderEveryBackend)
 {
     const Keys k;
@@ -86,20 +77,20 @@ TEST(SecureMemoryCrossBackend, DefaultWritesVerifyUnderEveryBackend)
         const auto units = payloads(unit_bytes);
         mem.write_units(writes_of(units));
 
-        for (const auto aes : aes_kinds()) {
-            for (const auto sha : sha_kinds()) {
-                const crypto::Baes_engine baes(k.enc, aes);
-                const crypto::Hmac_engine hmac(k.mac, sha);
+        for (const auto enc : aes_kinds()) {
+            for (const auto mac : aes_kinds()) {
+                const crypto::Baes_engine baes(k.enc, enc);
+                const crypto::Cmac_engine cmac(k.mac, mac);
                 std::vector<std::vector<u8>> out(k_units, std::vector<u8>(unit_bytes));
                 Secure_memory::Bulk_scratch scratch;
                 std::vector<Verify_status> status(k_units);
-                mem.read_units_with(reads_into(out), baes, hmac, scratch, status);
+                mem.read_units_with(reads_into(out), baes, cmac, scratch, status);
                 for (std::size_t i = 0; i < k_units; ++i) {
                     EXPECT_STREQ(to_string(status[i]), "ok")
-                        << unit_bytes << " B unit " << i << " under " << to_string(aes)
-                        << " x " << to_string(sha);
+                        << unit_bytes << " B unit " << i << " under " << to_string(enc)
+                        << " x " << to_string(mac);
                     EXPECT_EQ(out[i], units[i]) << unit_bytes << " B unit " << i << " under "
-                                                << to_string(aes) << " x " << to_string(sha);
+                                                << to_string(enc) << " x " << to_string(mac);
                 }
             }
         }
@@ -110,13 +101,13 @@ TEST(SecureMemoryCrossBackend, ScalarSealedUnitsVerifyUnderDefaults)
 {
     const Keys k;
     const crypto::Baes_engine baes(k.enc, crypto::Aes_backend_kind::scalar);
-    const crypto::Hmac_engine hmac(k.mac, crypto::Sha256_backend_kind::scalar);
+    const crypto::Cmac_engine cmac(k.mac, crypto::Aes_backend_kind::scalar);
     for (const Bytes unit_bytes : k_unit_sizes) {
         Secure_memory mem(k.enc, k.mac, Secure_mem_config{unit_bytes});
         const auto units = payloads(unit_bytes);
         const auto writes = writes_of(units);
         Secure_memory::Bulk_scratch scratch;
-        Secure_memory::encrypt_slots(mem.stage_writes(writes), baes, hmac, scratch);
+        Secure_memory::encrypt_slots(mem.stage_writes(writes), baes, cmac, scratch);
 
         std::vector<std::vector<u8>> out(k_units, std::vector<u8>(unit_bytes));
         const auto status = mem.read_units(reads_into(out));

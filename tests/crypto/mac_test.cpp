@@ -1,4 +1,5 @@
-// HMAC-SHA256 (RFC 4231 vectors), the 64-bit block MACs and XOR-MAC folding.
+// HMAC-SHA256 (RFC 4231 vectors, the KDF's PRF), the 64-bit block MACs and
+// XOR-MAC folding.
 #include <gtest/gtest.h>
 
 #include <ostream>
@@ -6,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "crypto/kdf.h"
 #include "crypto/mac.h"
 
 namespace seda::crypto {

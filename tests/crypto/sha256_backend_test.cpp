@@ -1,17 +1,15 @@
-// Cross-validation of the pluggable SHA-256 backends and the bulk HMAC
-// pipeline: every backend must produce bit-identical digests (NIST vectors
-// + randomized lengths), compress_many must equal the serial loop, and
-// positional_macs must equal a loop of single-unit calls on equal-length and
-// ragged batches alike.  Backend kinds are enumerated at runtime -- hardware
-// kinds skip with a message when CPUID lacks the feature, so the binary is
-// exhaustive on SHA-NI hosts and green elsewhere.
+// Cross-validation of the pluggable SHA-256 backends: every backend must
+// produce bit-identical digests (NIST vectors + randomized lengths), and a
+// multi-block compress call must equal block-by-block calls.  Backend kinds
+// are enumerated at runtime -- hardware kinds skip with a message when CPUID
+// lacks the feature, so the binary is exhaustive on SHA-NI hosts and green
+// elsewhere.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
-#include "crypto/mac.h"
 #include "crypto/sha256.h"
 #include "crypto/sha256_backend.h"
 
@@ -111,34 +109,6 @@ TEST(Sha256Backend, AutoSelectMatchesNamedBackends)
     EXPECT_EQ(via_auto, digest_with(default_sha256_backend_kind(), data));
 }
 
-TEST(Sha256Backend, CompressManyMatchesSerialLoop)
-{
-    // Random independent (state, block) jobs: the multi-buffer entry point
-    // must leave every state exactly where the serial loop would.
-    for (const auto kind : available_sha256_backend_kinds()) {
-        const auto& backend = sha256_backend_for(kind);
-        for (const std::size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 13u}) {
-            const auto blocks = random_bytes(n * 64, 0xB10C + n);
-            std::vector<Sha256_state> many(n);
-            std::vector<Sha256_state> serial(n);
-            for (std::size_t i = 0; i < n; ++i) {
-                Rng rng(0x57A7E + i);
-                for (auto& w : many[i]) w = static_cast<u32>(rng.next_u64());
-                serial[i] = many[i];
-            }
-
-            std::vector<Sha256_job> jobs;
-            for (std::size_t i = 0; i < n; ++i)
-                jobs.push_back({&many[i], blocks.data() + 64 * i});
-            backend.compress_many(jobs);
-
-            for (std::size_t i = 0; i < n; ++i)
-                backend.compress(serial[i], blocks.data() + 64 * i, 1);
-            EXPECT_EQ(many, serial) << to_string(kind) << " batch of " << n;
-        }
-    }
-}
-
 TEST(Sha256Backend, MultiBlockCompressMatchesBlockwise)
 {
     const auto data = random_bytes(64 * 9, 0xABCD);
@@ -151,91 +121,6 @@ TEST(Sha256Backend, MultiBlockCompressMatchesBlockwise)
         EXPECT_EQ(oneshot, blockwise) << to_string(kind);
     }
 }
-
-// ---- bulk HMAC ≡ loop of single MACs ---------------------------------------
-
-class HmacBulkTest : public ::testing::TestWithParam<Sha256_backend_kind> {
-protected:
-    void SetUp() override
-    {
-        if (!sha256_backend_available(GetParam()))
-            GTEST_SKIP() << to_string(GetParam())
-                         << " backend not available on this CPU/build";
-    }
-};
-
-TEST_P(HmacBulkTest, PositionalMacsEqualLoop)
-{
-    // 64 B is the unit-MAC baseline; 128-512 B are the optBlk sizes SeDA's
-    // integrity scheme sends through the same call.
-    const Hmac_engine engine(random_bytes(16, 3), GetParam());
-    for (const std::size_t unit_bytes : {64u, 128u, 256u, 512u}) {
-        std::vector<std::vector<u8>> units;
-        std::vector<Mac_request> reqs;
-        for (std::size_t i = 0; i < 21; ++i)  // not a lane multiple on purpose
-            units.push_back(random_bytes(unit_bytes, 300 + i));
-        for (std::size_t i = 0; i < units.size(); ++i) {
-            const Mac_context ctx{0x1000 + unit_bytes * i, i + 1, static_cast<u32>(i % 5),
-                                  static_cast<u32>(i % 3), static_cast<u32>(i)};
-            reqs.push_back({units[i], ctx});
-        }
-
-        std::vector<u64> bulk(reqs.size());
-        engine.positional_macs(reqs, bulk);
-        for (std::size_t i = 0; i < reqs.size(); ++i)
-            EXPECT_EQ(bulk[i], engine.positional_mac(reqs[i].ciphertext, reqs[i].ctx))
-                << unit_bytes << " B unit " << i;
-    }
-}
-
-TEST_P(HmacBulkTest, PositionalMacsEqualLoopOnRaggedLengths)
-{
-    // Ragged units drop out of later waves, and the 28 B position suffix
-    // decides where each unit's tail and padding fall.
-    const Hmac_engine engine(random_bytes(16, 2), GetParam());
-    Rng rng(0x7A66ED);
-    std::vector<std::vector<u8>> units;
-    std::vector<Mac_request> reqs;
-    for (std::size_t i = 0; i < 24; ++i)
-        units.push_back(random_bytes(rng.next_u64() % 300, 200 + i));
-    for (std::size_t i = 0; i < units.size(); ++i)
-        reqs.push_back({units[i], Mac_context{0x4000 + 512 * i, i + 1, 2,
-                                              static_cast<u32>(i % 4), static_cast<u32>(i)}});
-
-    std::vector<u64> bulk(reqs.size());
-    engine.positional_macs(reqs, bulk);
-    for (std::size_t i = 0; i < reqs.size(); ++i)
-        EXPECT_EQ(bulk[i], engine.positional_mac(reqs[i].ciphertext, reqs[i].ctx))
-            << "unit " << i << " len " << units[i].size();
-}
-
-TEST_P(HmacBulkTest, EmptyBatchIsANoop)
-{
-    const Hmac_engine engine(random_bytes(16, 4), GetParam());
-    engine.positional_macs({}, {});
-}
-
-TEST_P(HmacBulkTest, BackendsProduceIdenticalMacs)
-{
-    // The MAC must not depend on which backend computed it -- Secure_memory
-    // state written under one backend must verify under any other.
-    const auto key = random_bytes(16, 5);
-    const Hmac_engine reference(key, Sha256_backend_kind::scalar);
-    const auto unit = random_bytes(64, 6);
-    const Mac_context ctx{0x2000, 9, 1, 2, 3};
-    for (const auto kind : available_sha256_backend_kinds()) {
-        if (kind == Sha256_backend_kind::scalar) continue;
-        const Hmac_engine other(key, kind);
-        EXPECT_EQ(reference.positional_mac(unit, ctx), other.positional_mac(unit, ctx))
-            << to_string(kind);
-        EXPECT_EQ(reference.mac(unit), other.mac(unit)) << to_string(kind);
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllBackends, HmacBulkTest,
-                         ::testing::ValuesIn(all_sha256_backend_kinds().begin(),
-                                             all_sha256_backend_kinds().end()),
-                         [](const auto& info) { return to_string(info.param); });
 
 }  // namespace
 }  // namespace seda::crypto
