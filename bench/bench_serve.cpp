@@ -12,6 +12,13 @@
 //                              lock-step AES-CMAC waves), J workers
 //   bm_serve_loadgen/J         the full closed loop end to end (server +
 //                              admission queue + client threads), J workers
+//   bm_serve_pipelined/P       P producer threads with 64 requests each
+//                              outstanding through a live Server (2 pool
+//                              workers): the front door under contention --
+//                              concurrent submits, the admission ring, and
+//                              completions delivered off the scheduler
+//                              thread, which bm_serve_batched (one thread
+//                              calling dispatch) cannot show
 //
 // The acceptance bar for the serving layer is bm_serve_batched/1 >=
 // 1.5x bm_serve_naive on items_per_second: the win must come from feeding
@@ -19,12 +26,16 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
+#include <future>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "runtime/thread_pool.h"
 #include "serve/batch_scheduler.h"
 #include "serve/loadgen.h"
+#include "serve/server.h"
 #include "serve/tenant.h"
 
 using namespace seda;
@@ -137,6 +148,69 @@ void bm_serve_loadgen(benchmark::State& state)
                             static_cast<i64>(cfg.tenants * cfg.clients * cfg.requests));
 }
 BENCHMARK(bm_serve_loadgen)->DenseRange(1, 2)->Arg(4)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+constexpr std::size_t k_depth = 64;  ///< outstanding requests per producer
+constexpr std::size_t k_requests_per_producer = 4096;
+
+/// One producer's closed loop: k_depth requests in flight over its own
+/// k_units_per_tenant / 4 slots of every tenant, each reply awaited before
+/// its slot of the ring is reissued.  A slot's first touch is a write, so
+/// every read hits; half of the rest are reads.
+void pump(serve::Server& server, u32 producer)
+{
+    constexpr std::size_t k_own = k_units_per_tenant / 4;
+    Rng rng(0x51DE + producer);
+    std::vector<std::vector<bool>> written(k_tenants, std::vector<bool>(k_own, false));
+    std::array<std::future<serve::Response>, k_depth> ring;
+    for (std::size_t i = 0; i < k_requests_per_producer; ++i) {
+        std::future<serve::Response>& slot = ring[i % k_depth];
+        if (slot.valid()) {
+            const serve::Response r = slot.get();
+            benchmark::DoNotOptimize(r);
+        }
+        serve::Request req;
+        req.tenant_id = static_cast<u32>(rng.next_below(k_tenants));
+        req.client_id = producer;
+        req.seq = i;
+        const auto local = static_cast<std::size_t>(rng.next_below(k_own));
+        const std::size_t unit = producer * k_own + local;
+        req.addr = unit * k_unit_bytes;
+        req.blk_idx = static_cast<u32>(unit);
+        const bool write = !written[req.tenant_id][local] || rng.next_unit() < 0.5;
+        req.op = write ? serve::Op::write : serve::Op::read;
+        if (write) {
+            written[req.tenant_id][local] = true;
+            req.payload.resize(k_unit_bytes);
+            for (auto& b : req.payload) b = rng.next_byte();
+        }
+        slot = server.submit(std::move(req));
+    }
+    for (auto& slot : ring)
+        if (slot.valid()) {
+            const serve::Response r = slot.get();
+            benchmark::DoNotOptimize(r);
+        }
+}
+
+void bm_serve_pipelined(benchmark::State& state)
+{
+    const auto producers = static_cast<u32>(state.range(0));
+    serve::Server server(make_key(1), make_key(2),
+                         {.tenants = k_tenants,
+                          .workers = 2,
+                          .mem = core::Secure_mem_config{k_unit_bytes, true}});
+    server.start();
+    for (auto _ : state) {
+        std::vector<std::thread> threads;
+        for (u32 p = 0; p < producers; ++p) threads.emplace_back(pump, std::ref(server), p);
+        for (auto& t : threads) t.join();
+    }
+    server.stop();
+    state.SetItemsProcessed(static_cast<i64>(state.iterations()) *
+                            static_cast<i64>(producers * k_requests_per_producer));
+}
+BENCHMARK(bm_serve_pipelined)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace

@@ -41,11 +41,12 @@ void crypto_roundtrip()
               << " VN=" << vn << "\n";
 
     // Positional block MACs folded into a layer MAC (Alg. 2 defense).
+    const crypto::Cmac_engine mac(key);
     crypto::Xor_mac_accumulator layer_mac;
     for (u32 blk = 0; blk < 4; ++blk) {
         crypto::Mac_context ctx{pa + blk * 64, vn, /*layer=*/0, /*fmap=*/0, blk};
-        layer_mac.fold(crypto::positional_block_mac(
-            key, std::span<const u8>(tensor).subspan(blk * 64, 64), ctx));
+        layer_mac.fold(
+            mac.positional_mac(std::span<const u8>(tensor).subspan(blk * 64, 64), ctx));
     }
     const u64 stored = layer_mac.value();
 
@@ -60,8 +61,7 @@ void crypto_roundtrip()
     crypto::Xor_mac_accumulator check;
     for (u32 blk = 0; blk < 4; ++blk) {
         crypto::Mac_context ctx{pa + blk * 64, vn, 0, 0, blk};
-        check.fold(crypto::positional_block_mac(
-            key, std::span<const u8>(tensor).subspan(blk * 64, 64), ctx));
+        check.fold(mac.positional_mac(std::span<const u8>(tensor).subspan(blk * 64, 64), ctx));
     }
     std::cout << "tampered bit detected: " << (check.value() != stored ? "yes" : "NO")
               << "\n\n";

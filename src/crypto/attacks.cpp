@@ -78,15 +78,17 @@ Repa_result repa_attack(std::span<const std::vector<u8>> layer_blocks,
             "repa_attack: blocks/addresses/VNs must have equal length");
     require(layer_blocks.size() >= 2, "repa_attack: need at least two blocks to shuffle");
 
+    // One engine (key schedule + CMAC subkeys) for every block MAC below.
+    const Cmac_engine engine(mac_key);
     const auto block_mac = [&](const std::vector<u8>& blk, std::size_t position) {
-        if (kind == Layer_mac_kind::naive_xor) return naive_block_mac(mac_key, blk);
+        if (kind == Layer_mac_kind::naive_xor) return engine.naive_mac(blk);
         Mac_context ctx;
         ctx.pa = block_addrs[position];
         ctx.vn = block_vns[position];
         ctx.layer_id = layer_id;
         ctx.fmap_idx = 0;
         ctx.blk_idx = static_cast<u32>(position);
-        return positional_block_mac(mac_key, blk, ctx);
+        return engine.positional_mac(blk, ctx);
     };
 
     // SUM_MAC over the honest layout (Alg. 2 l.1).

@@ -93,7 +93,10 @@ struct Mac_request {
     Mac_context ctx;
 };
 
-/// 64-bit MAC over the ciphertext only (RePA-vulnerable baseline).
+/// 64-bit MAC over the ciphertext only (RePA-vulnerable baseline).  This
+/// and positional_block_mac build a Cmac_engine per call (a key expansion
+/// plus the subkeys, ~2.4x the cost of the MAC itself on 64 B): one-shot
+/// reference forms.  A loop over blocks builds one engine instead.
 [[nodiscard]] u64 naive_block_mac(std::span<const u8> key, std::span<const u8> ciphertext);
 
 /// 64-bit MAC binding the ciphertext to its position (SeDA / Alg. 2 defense).

@@ -6,7 +6,7 @@
 //   req.queue     submit -> pickup        (admission queue wait)
 //   req.window    pickup -> flush begin   (coalescing window share)
 //   req.crypto    flush begin -> end      (the session call that completed it)
-//   req.complete  flush end -> done      (completion fan-out)
+//   req.complete  flush end -> done      (outcome recorded; the promise settles later)
 //
 // The four phases land in the serve_req_*_us stage histograms carrying the
 // trace id as an exemplar, and -- when a trace recording is active -- as

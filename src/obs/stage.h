@@ -35,7 +35,7 @@ enum class Stage : u8 {
     assembly,        ///< Batch_scheduler per-tenant bucketing
     flush_write,     ///< one coalesced write batch through the session
     flush_read,      ///< one coalesced read batch through the session
-    complete,        ///< completion fan-out (latency records, promise fulfil)
+    complete,        ///< outcome recording per flush (counters, latency records)
     // core: secure-memory bulk phases (cover the sharded session's bulk
     // calls too -- a session-level span would just repeat flush_write/read)
     stage_writes,  ///< validate + VN bump + slot staging
@@ -56,7 +56,7 @@ enum class Stage : u8 {
     req_queue,     ///< submit -> scheduler pickup for one traced request
     req_window,    ///< pickup -> its flush begins (coalescing window share)
     req_crypto,    ///< inside the session flush (bulk crypto share)
-    req_complete,  ///< flush end -> completion fan-out done
+    req_complete,  ///< flush end -> its outcome recorded
     count_
 };
 

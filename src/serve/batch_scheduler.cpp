@@ -5,6 +5,7 @@
 #include <exception>
 #include <string>
 #include <utility>
+#include <variant>
 
 #include "common/bitutil.h"
 #include "common/error.h"
@@ -43,19 +44,18 @@ void Batch_scheduler::reject(Request& req, std::exception_ptr error, Serve_stats
     ++counters.rejected;
     record_latency(req, stats);
     obs::trace_request_finish(req.trace);
-    if (req.reply) req.reply->set_exception(std::move(error));
+    req.outcome = std::move(error);
 }
 
-void Batch_scheduler::complete(Request& req, Verify_status status,
-                               std::vector<u8>& read_buf, Serve_stats& stats)
+void Batch_scheduler::complete(Request& req, Verify_status status, Serve_stats& stats)
 {
     Tenant_counters& counters = stats.tenants[req.tenant_id];
     const bool read = req.op == Op::read;
     ++(read ? counters.reads : counters.writes);
     if (status == Verify_status::ok) {
         ++counters.ok;
-        counters.bytes += read ? read_buf.size() : req.payload.size();
-        if (read) counters.payload_fold ^= fnv1a64(read_buf.data(), read_buf.size());
+        counters.bytes += req.payload.size();
+        if (read) counters.payload_fold ^= fnv1a64(req.payload.data(), req.payload.size());
     } else {
         ++(status == Verify_status::mac_mismatch ? counters.mac_mismatch
                                                  : counters.replay_detected);
@@ -66,12 +66,21 @@ void Batch_scheduler::complete(Request& req, Verify_status status,
     }
     record_latency(req, stats);
     obs::trace_request_finish(req.trace);
-    // Only surrender the buffer when someone is waiting for it; the
-    // fire-and-forget path keeps reusing it allocation-free.
-    if (req.reply)
-        req.reply->set_value({status, read && status == Verify_status::ok
-                                          ? std::move(read_buf)
-                                          : std::vector<u8>{}});
+    req.outcome = status;
+}
+
+void deliver(std::span<Request> run)
+{
+    for (Request& r : run) {
+        if (!r.reply) continue;
+        if (const auto* error = std::get_if<std::exception_ptr>(&r.outcome)) {
+            r.reply->set_exception(*error);
+        } else {
+            const auto status = std::get<Verify_status>(r.outcome);
+            const bool payload = r.op == Op::read && status == Verify_status::ok;
+            r.reply->set_value({status, payload ? std::move(r.payload) : std::vector<u8>{}});
+        }
+    }
 }
 
 void Batch_scheduler::flush(Tenant& tenant, Op op, std::span<Request* const> segment,
@@ -79,19 +88,17 @@ void Batch_scheduler::flush(Tenant& tenant, Op op, std::span<Request* const> seg
 {
     const bool write = op == Op::write;
     const Bytes unit_bytes = tenant.session().memory().config().unit_bytes;
-    if (read_bufs_.size() < segment.size()) read_bufs_.resize(segment.size());
     writes_.clear();
     reads_.clear();
     bool traced = false;
-    for (std::size_t i = 0; i < segment.size(); ++i) {
-        const Request& r = *segment[i];
+    for (Request* r : segment) {
         if (write) {
-            writes_.push_back({r.addr, r.payload, r.layer_id, r.fmap_idx, r.blk_idx});
+            writes_.push_back({r->addr, r->payload, r->layer_id, r->fmap_idx, r->blk_idx});
         } else {
-            read_bufs_[i].resize(unit_bytes);
-            reads_.push_back({r.addr, read_bufs_[i], r.layer_id, r.fmap_idx, r.blk_idx});
+            r->payload.resize(unit_bytes);
+            reads_.push_back({r->addr, r->payload, r->layer_id, r->fmap_idx, r->blk_idx});
         }
-        traced |= r.trace.trace_id != 0;
+        traced |= r->trace.trace_id != 0;
     }
 
     // The session call is each request's "crypto" phase, retries included,
@@ -130,7 +137,7 @@ void Batch_scheduler::flush(Tenant& tenant, Op op, std::span<Request* const> seg
     ++stats.batches;
     obs::Stage_span span(obs::Stage::complete);
     for (std::size_t i = 0; i < segment.size(); ++i)
-        complete(*segment[i], write ? Verify_status::ok : statuses[i], read_bufs_[i], stats);
+        complete(*segment[i], write ? Verify_status::ok : statuses[i], stats);
 }
 
 void Batch_scheduler::flush_pending(Tenant& tenant, Op op, Serve_stats& stats)

@@ -25,16 +25,21 @@
 //
 // One flush, one completion: every segment, whatever its op, goes through
 // flush() -- one session call (which pulls the Dram_tap and records the
-// flush flight event), one trace stamp of the flush window, then
-// complete() per request in admission order.
+// flush flight event; a read decrypts straight into each request's own
+// payload), one trace stamp of the flush window, then complete() per
+// request in admission order.  complete() counts the outcome, records the
+// latency, finishes the trace and stores the status in the request; it
+// settles no promise.  deliver() does that afterwards, for a whole run in
+// run order, on whichever thread the caller picks -- the server hands it
+// to a pool worker, so the scheduler goes straight on to the next window.
 //
 // Failure containment: a request the bulk path rejects outright (e.g. a
 // read of a never-written unit throws Seda_error before any crypto) must
 // not take the batch -- or the server -- down.  A rejected session call
 // changed nothing, so flush() re-runs each request of the segment as a
 // segment of one through the same code, recording a `fallback` flight
-// event per request.  A request that still throws alone completes with the
-// exception on its promise and counts as `rejected`; everyone else
+// event per request.  A request that still throws alone keeps the
+// exception as its outcome and counts as `rejected`; everyone else
 // proceeds normally.
 //
 // Thread-safety: one dispatch() at a time (the server's scheduler thread);
@@ -61,9 +66,10 @@ public:
     explicit Batch_scheduler(Tenant_table& tenants);
 
     /// Dispatches one drained run: groups by tenant (order preserved),
-    /// coalesces maximal same-op segments into bulk session calls, fulfills
-    /// every request's promise, and accumulates into `stats` (whose tenants
-    /// vector is resized to the tenant count).
+    /// coalesces maximal same-op segments into bulk session calls, records
+    /// every request's outcome in the request, and accumulates into
+    /// `stats` (whose tenants vector is resized to the tenant count).
+    /// The promises stay unsettled until deliver(run).
     void dispatch(std::span<Request> run, Serve_stats& stats);
 
 private:
@@ -77,10 +83,9 @@ private:
     /// of one (`retry`); a request that throws on retry is reject()ed.
     void flush(Tenant& tenant, Op op, std::span<Request* const> segment,
                Serve_stats& stats, bool retry = false);
-    /// Counts `req`'s outcome and fulfills its promise; an ok read hands
-    /// over `read_buf` (unused for writes).
-    void complete(Request& req, core::Verify_status status, std::vector<u8>& read_buf,
-                  Serve_stats& stats);
+    /// Counts `req`'s outcome and records it in the request (an ok read's
+    /// plaintext is already in its payload).
+    void complete(Request& req, core::Verify_status status, Serve_stats& stats);
     void reject(Request& req, std::exception_ptr error, Serve_stats& stats);
     /// Serve_stats latency plus the per-tenant labeled registry histogram
     /// (which carries the request's trace id as an exemplar when sampled).
@@ -103,7 +108,13 @@ private:
     std::array<Pending, 2> pending_;
     std::vector<core::Secure_memory::Unit_write> writes_;
     std::vector<core::Secure_memory::Unit_read> reads_;
-    std::vector<std::vector<u8>> read_bufs_;
 };
+
+/// Settles every promise in `run` with the outcome dispatch() recorded, in
+/// run order: the exception of a rejected request, else its status plus,
+/// for an ok read, the plaintext moved out of its payload.  Requests
+/// without a promise are skipped.  One call per dispatched run, after
+/// dispatch() has returned; any thread.
+void deliver(std::span<Request> run);
 
 }  // namespace seda::serve

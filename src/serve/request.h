@@ -4,9 +4,14 @@
 // tenant: a protected write (encrypt + MAC + VN bump in the tenant's own
 // Secure_memory) or a protected read (verify + decrypt).  The serving
 // pipeline moves Requests by value through the admission queue -- they are
-// move-only, carrying an optional std::promise the dispatcher fulfills --
-// so a request's payload is owned end to end and workers never chase
-// caller lifetimes.
+// move-only, carrying an optional std::promise -- so a request's payload is
+// owned end to end and workers never chase caller lifetimes.
+//
+// A request also carries its own outcome.  Batch_scheduler::dispatch
+// records it (the status, a read's plaintext in `payload`, or the
+// exception of a rejected request) and serve::deliver() later hands it to
+// the promise, so the thread that settles promises need not be the one
+// that ran the crypto.
 //
 // Verification *failures* are results, not errors (common/error.h): a
 // tampered or replayed unit completes its Request with the corresponding
@@ -16,8 +21,10 @@
 #pragma once
 
 #include <chrono>
+#include <exception>
 #include <future>
 #include <optional>
+#include <variant>
 #include <vector>
 
 #include "common/types.h"
@@ -54,14 +61,19 @@ struct Request {
     u64 seq = 0;  ///< per-client sequence number (client-assigned)
     Op op = Op::write;
     Addr addr = 0;
-    std::vector<u8> payload;  ///< write plaintext (one unit); unused for reads
+    /// Write plaintext (one unit); a read's plaintext once dispatched.
+    std::vector<u8> payload;
     u32 layer_id = 0;
     u32 fmap_idx = 0;
     u32 blk_idx = 0;
 
-    /// Fulfilled (value or exception) when the request completes; nullopt =
+    /// Fulfilled (value or exception) by deliver(); nullopt =
     /// fire-and-forget (the bench path).  Server::submit installs one.
     std::optional<std::promise<Response>> reply;
+
+    /// Outcome recorded by dispatch: the exception of a rejected request,
+    /// else its status (and, for an ok read, the plaintext in `payload`).
+    std::variant<core::Verify_status, std::exception_ptr> outcome;
 
     /// Set by Server::submit; a zero value means "no timestamp" and the
     /// dispatcher records no latency sample (deterministic bench replays).

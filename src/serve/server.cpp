@@ -1,6 +1,8 @@
 #include "serve/server.h"
 
+#include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <utility>
 
 #include <string>
@@ -54,6 +56,7 @@ void Server::start()
     // liveness signal and must keep answering under SEDA_OBS=0.
     obs::health_server_started();
     scheduler_thread_ = std::thread([this] { scheduler_loop(); });
+    accepting_.store(true, std::memory_order_release);
 }
 
 std::future<Response> Server::submit(Request req)
@@ -62,10 +65,7 @@ std::future<Response> Server::submit(Request req)
         // Evicted is a *counted* rejection (deterministic given the submit
         // stream); an id that never existed is a plain usage error.
         if (tenants_.find(req.tenant_id) != nullptr) {
-            {
-                std::lock_guard lock(mutex_);
-                ++stats_.evicted_rejects;
-            }
+            evicted_rejects_.fetch_add(1, std::memory_order_relaxed);
             if (obs::enabled()) {
                 static const obs::Counter evicted =
                     obs::Metrics_registry::instance().counter("serve_evicted_rejects_total");
@@ -86,17 +86,15 @@ std::future<Response> Server::submit(Request req)
     req.enqueued_at = std::chrono::steady_clock::now();
     obs::trace_request_begin(req.trace);
 
-    {
-        std::lock_guard lock(mutex_);
-        require(started_ && !stopped_, "serve: server is not accepting requests");
-        ++submitted_;
-    }
+    require(accepting_.load(std::memory_order_acquire),
+            "serve: server is not accepting requests");
+    submitted_.fetch_add(1, std::memory_order_relaxed);
     if (!queue_.push(req)) {
         // stop() closed the queue between our check and the push; undo the
         // accounting so drain() never waits for a request that was never in.
+        submitted_.fetch_sub(1, std::memory_order_relaxed);
         {
-            std::lock_guard lock(mutex_);
-            --submitted_;
+            std::lock_guard lock(mutex_);  // a drain() waiter is asleep or sees it
         }
         all_done_.notify_all();
         throw Seda_error("serve: server stopped while submitting");
@@ -115,9 +113,11 @@ void Server::drain()
         // starve this call.  completed_ == submitted_ ("nothing in flight at
         // all") also satisfies the contract, and covers a snapshot inflated by
         // a submit whose push lost the race with stop() and was rolled back.
-        const u64 target = submitted_;
-        all_done_.wait(lock,
-                       [&] { return completed_ >= target || completed_ == submitted_; });
+        const u64 target = submitted_.load(std::memory_order_relaxed);
+        all_done_.wait(lock, [&] {
+            const u64 done = completed_.load(std::memory_order_relaxed);
+            return done >= target || done == submitted_.load(std::memory_order_relaxed);
+        });
     }
     obs::health_drain_end();
 }
@@ -125,22 +125,26 @@ void Server::drain()
 void Server::stop()
 {
     bool join = false;
-    bool transitioned = false;
     {
         std::lock_guard lock(mutex_);
-        if (stopped_) {
-            join = false;
-        } else {
+        if (!stopped_) {
             stopped_ = true;
             join = started_;
-            transitioned = started_;
         }
+        accepting_.store(false, std::memory_order_release);
     }
     queue_.close();
-    if (join && scheduler_thread_.joinable()) scheduler_thread_.join();
+    if (!join) return;
+    scheduler_thread_.join();
+    {
+        // The drainer is a pool task that uses this object's members; the
+        // pool outlives them, so wait for it here.
+        std::unique_lock lock(mutex_);
+        all_done_.wait(lock, [&] { return !draining_; });
+    }
     // Balanced against start(): only the call that actually ends a started
     // server's life flips the health plane.
-    if (transitioned) obs::health_server_stopped();
+    obs::health_server_stopped();
 }
 
 u32 Server::add_tenant() { return tenants_.add(master_enc_, master_mac_, cfg_.mem, pool_); }
@@ -158,6 +162,7 @@ Serve_stats Server::stats() const
 {
     std::lock_guard lock(mutex_);
     Serve_stats out = stats_;
+    out.evicted_rejects = evicted_rejects_.load(std::memory_order_relaxed);
     // A tenant added after the last dispatch has no counter row yet; size
     // the snapshot so callers can always index by tenant id.
     if (out.tenants.size() < tenants_.size()) out.tenants.resize(tenants_.size());
@@ -174,7 +179,6 @@ void Server::scheduler_loop()
     const obs::Counter windows_total =
         obs::Metrics_registry::instance().counter("serve_windows_total");
     for (;;) {
-        run.clear();
         {
             // The window span covers the whole pop_batch call: linger window
             // plus any idle wait for the first request (docs/OBSERVABILITY.md).
@@ -213,13 +217,41 @@ void Server::scheduler_loop()
         scheduler_.dispatch(run, delta);
         inflight_gauge().add(-static_cast<i64>(run.size()));
         export_tenant_metrics(delta);
+        // Merge before the window can reach the drainer: a ready future
+        // implies stats() counts its request.  Then append the window to the
+        // completion FIFO -- a swap when the FIFO is empty, which hands the
+        // scheduler an empty buffer back -- and post the drainer unless one
+        // is already posted or running.
+        bool post = false;
         {
             std::lock_guard lock(mutex_);
             stats_.merge(delta);
-            completed_ += run.size();
+            if (done_.empty())
+                done_.swap(run);
+            else
+                std::move(run.begin(), run.end(), std::back_inserter(done_));
+            post = !std::exchange(draining_, true);
         }
+        run.clear();
+        if (post) (void)pool_.submit([this] { deliver_windows(); });
+    }
+}
+
+void Server::deliver_windows()
+{
+    std::unique_lock lock(mutex_);
+    while (!done_.empty()) {
+        delivering_.swap(done_);
+        lock.unlock();
+        deliver(delivering_);
+        const std::size_t n = delivering_.size();
+        delivering_.clear();
+        lock.lock();
+        completed_.fetch_add(n, std::memory_order_relaxed);
         all_done_.notify_all();
     }
+    draining_ = false;
+    all_done_.notify_all();  // stop() waits for the drainer to go idle
 }
 
 void Server::export_tenant_metrics(const Serve_stats& delta)

@@ -3,11 +3,15 @@
 // Wiring (one arrow = one thread hop):
 //
 //   clients ──submit()──▶ Admission_queue ──pop_batch()──▶ scheduler thread
-//                                                             │ Batch_scheduler
-//                                                             ▼
-//                                               per-tenant Secure_session
-//                                               (bulk crypto fanned across
-//                                                the shared Thread_pool)
+//      ▲                  (lock-free ring)                   │ Batch_scheduler
+//      │                                                     ▼
+//      │                                       per-tenant Secure_session
+//      │                                       (bulk crypto fanned across
+//      │                                        the shared Thread_pool)
+//      │                                                     │ dispatched
+//      │                                                     ▼ window
+//      └──futures settled──── completion drainer ◀── FIFO of windows
+//                             (one task at a time on the Thread_pool)
 //
 // Lifecycle: construct → start() → traffic → drain() (everything submitted
 // so far has completed) → stop() (close the queue, finish what was
@@ -21,18 +25,30 @@
 // requests of an evicted tenant complete normally, while new submits are
 // rejected with the counted stats().evicted_rejects status.
 //
-// Roles per thread: any number of client threads block in submit() (queue
-// backpressure) and on their futures (closed-loop); ONE scheduler thread
-// owns batching and stats and runs every flush under 128 units itself; on
-// larger flushes it claims chunks alongside the pool workers, which only
-// ever run chunk crypto.
+// Roles per thread:
+//   * client threads call submit(), which takes no lock: tenant lookups,
+//     the accepting flag and the submitted count are atomics, and the ring
+//     is claimed with one CAS.  A client sleeps only on a full ring (the
+//     backpressure a closed-loop client rides) and on its futures.
+//   * ONE scheduler thread owns batching: it pops a window, dispatches it
+//     (every flush under 128 units runs on it; on larger flushes it claims
+//     chunks alongside the pool workers), merges the window's stats, and
+//     appends the window to the completion FIFO.  It settles no promise.
+//   * the completion drainer is a task on the same Thread_pool, posted when
+//     the FIFO turns non-empty with no drainer running, so at most one runs
+//     at a time.  It delivers windows in dispatch order (serve::deliver)
+//     and counts each one completed only after delivering it, so when
+//     drain() returns every earlier future is ready.  Pool workers
+//     otherwise only run chunk crypto.
 //
 // Stats discipline: the scheduler accumulates each dispatch into a local
-// delta and merges under the mutex, so submitters never contend with the
-// crypto phase; stats() snapshots under the same mutex.  Deterministic
-// fields vs timing fields are documented in serve_stats.h.
+// delta and merges it under the mutex before the window enters the
+// completion FIFO, so a future that is ready implies stats() counts its
+// request; stats() snapshots under the same mutex.  Deterministic fields
+// vs timing fields are documented in serve_stats.h.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <future>
@@ -77,10 +93,11 @@ public:
     /// Spawns the scheduler thread.  Must be called exactly once.
     void start();
 
-    /// Validates, timestamps and enqueues `req` (blocking when the queue
-    /// is full -- the backpressure a closed-loop client rides), returning
-    /// the future its completion fulfills.  Throws Seda_error on a
-    /// malformed request or when the server is not accepting.
+    /// Validates, timestamps and enqueues `req` without taking a lock
+    /// (blocking only when the queue is full -- the backpressure a
+    /// closed-loop client rides), returning the future its completion
+    /// fulfills.  Throws Seda_error on a malformed request or when the
+    /// server is not accepting.
     [[nodiscard]] std::future<Response> submit(Request req);
 
     /// Blocks until every request submitted so far has completed.  Other
@@ -88,7 +105,8 @@ public:
     void drain();
 
     /// Closes the queue (new submits fail), completes everything already
-    /// accepted, and joins the scheduler.  Terminal and idempotent.
+    /// accepted, joins the scheduler and waits for the completion drainer.
+    /// Terminal and idempotent.
     void stop();
 
     /// Adds a tenant to the LIVE server (before or after start()) and
@@ -112,6 +130,9 @@ public:
 
 private:
     void scheduler_loop();
+    /// The completion drainer (a pool task): delivers the FIFO's windows in
+    /// order until it is empty, then clears draining_.
+    void deliver_windows();
     /// Adds one dispatch delta to the per-tenant labeled registry series
     /// (scheduler thread only; handles are created lazily per tenant).
     void export_tenant_metrics(const Serve_stats& delta);
@@ -128,16 +149,25 @@ private:
     Tenant_table tenants_;
     Admission_queue queue_;
     Batch_scheduler scheduler_;
-    std::thread scheduler_thread_;
     std::vector<Tenant_series> tenant_series_;  ///< scheduler thread only
 
+    std::atomic<bool> accepting_{false};  ///< between start() and stop()
+    std::atomic<u64> submitted_{0};       ///< accepted requests
+    std::atomic<u64> completed_{0};       ///< delivered requests
+    std::atomic<u64> evicted_rejects_{0};
+
     mutable std::mutex mutex_;
-    std::condition_variable all_done_;
-    Serve_stats stats_;        ///< merged per dispatch, under mutex_
-    u64 submitted_ = 0;        ///< accepted requests, under mutex_
-    u64 completed_ = 0;        ///< fulfilled requests, under mutex_
-    bool started_ = false;
-    bool stopped_ = false;
+    std::condition_variable all_done_;  ///< completed_ grew, or the drainer went idle
+    Serve_stats stats_;                 ///< merged per dispatch, under mutex_
+    /// The completion FIFO: dispatched windows, back to back, in dispatch
+    /// order; under mutex_.  The drainer swaps it out whole, so three
+    /// buffers (this, delivering_ and the scheduler's window) circulate.
+    std::vector<Request> done_;
+    std::vector<Request> delivering_;  ///< the drainer's batch; drainer only
+    bool draining_ = false;  ///< a drainer is posted or running; under mutex_
+    bool started_ = false;   ///< under mutex_
+    bool stopped_ = false;   ///< under mutex_
+    std::thread scheduler_thread_;
 };
 
 }  // namespace seda::serve

@@ -24,35 +24,19 @@ u32 Tenant_table::add(std::span<const u8> master_enc, std::span<const u8> master
     // but the id must be allocated first -- and churn is rare next to
     // dispatch, so the simple critical section wins.
     std::lock_guard lock(mutex_);
-    const u32 id = static_cast<u32>(slots_.size());
-    slots_.push_back({std::make_unique<Tenant>(id, master_enc, master_mac, cfg, pool),
-                      false});
+    const auto id = static_cast<u32>(size_.load(std::memory_order_relaxed));
+    const std::size_t s = segment_of(id);
+    if (!segments_[s]) segments_[s] = std::make_unique<Slot[]>(k_first << s);
+    slot(id).tenant = std::make_unique<Tenant>(id, master_enc, master_mac, cfg, pool);
+    size_.store(std::size_t{id} + 1, std::memory_order_release);  // publishes the slot
     return id;
 }
 
 void Tenant_table::evict(u32 id)
 {
     std::lock_guard lock(mutex_);
-    require(id < slots_.size(), "Tenant_table::evict: unknown tenant id");
-    slots_[id].evicted = true;
-}
-
-std::size_t Tenant_table::size() const
-{
-    std::lock_guard lock(mutex_);
-    return slots_.size();
-}
-
-bool Tenant_table::accepting(u32 id) const
-{
-    std::lock_guard lock(mutex_);
-    return id < slots_.size() && !slots_[id].evicted;
-}
-
-Tenant* Tenant_table::find(u32 id) const
-{
-    std::lock_guard lock(mutex_);
-    return id < slots_.size() ? slots_[id].tenant.get() : nullptr;
+    require(id < size(), "Tenant_table::evict: unknown tenant id");
+    slot(id).evicted.store(true, std::memory_order_release);
 }
 
 }  // namespace seda::serve

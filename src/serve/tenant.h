@@ -20,6 +20,10 @@
 //                tamper and replay included).
 #pragma once
 
+#include <array>
+#include <atomic>
+#include <bit>
+#include <cstddef>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -64,13 +68,17 @@ private:
 /// (Server::add_tenant / evict_tenant).  Ids are dense indices and slots
 /// are never reused: eviction tombstones a slot instead of destroying it,
 /// because the Tenant object must outlive every request already admitted
-/// for it, and a stable unique_ptr per slot keeps Tenant* valid across
-/// concurrent add()s (the backing vector may reallocate; the tenants do
-/// not move).
+/// for it.
 ///
-/// Thread-safety: all methods safe from any thread.  find() hands out raw
-/// pointers that stay valid for the table's lifetime; the Tenant itself
-/// follows its own threading rules (one batch call at a time per session).
+/// Thread-safety: all methods safe from any thread.  Reads (size, accepting,
+/// find) take no lock -- every submit() makes two of them.  Slots live in
+/// segments that double in size and never move, so a slot's address is
+/// fixed once created: add() fills the slot, then publishes the new size
+/// with a release store, and a reader that sees an id below size() sees
+/// its slot complete.  add() and evict() serialize on a mutex.  find()
+/// hands out raw pointers that stay valid for the table's lifetime; the
+/// Tenant itself follows its own threading rules (one batch call at a time
+/// per session).
 class Tenant_table {
 public:
     /// Builds the next tenant (keys derived from the master pair) and
@@ -85,23 +93,47 @@ public:
     void evict(u32 id);
 
     /// Slots ever created, tombstones included (valid ids are < size()).
-    [[nodiscard]] std::size_t size() const;
+    [[nodiscard]] std::size_t size() const { return size_.load(std::memory_order_acquire); }
 
     /// Known and not evicted -- may new requests be admitted for `id`?
-    [[nodiscard]] bool accepting(u32 id) const;
+    [[nodiscard]] bool accepting(u32 id) const
+    {
+        return id < size() && !slot(id).evicted.load(std::memory_order_acquire);
+    }
 
     /// The tenant behind `id`, tombstoned or not; nullptr when the id was
     /// never created.
-    [[nodiscard]] Tenant* find(u32 id) const;
+    [[nodiscard]] Tenant* find(u32 id) const
+    {
+        return id < size() ? slot(id).tenant.get() : nullptr;
+    }
 
 private:
     struct Slot {
         std::unique_ptr<Tenant> tenant;
-        bool evicted = false;
+        std::atomic<bool> evicted{false};
     };
 
-    mutable std::mutex mutex_;
-    std::vector<Slot> slots_;
+    /// Segment s holds k_first << s slots, ids [k_first * (2^s - 1),
+    /// k_first * (2^(s+1) - 1)); 30 segments cover every u32 id.
+    static constexpr std::size_t k_first = 8;
+    static constexpr std::size_t k_segments = 30;
+
+    [[nodiscard]] static std::size_t segment_of(u32 id)
+    {
+        return static_cast<std::size_t>(std::bit_width(id / k_first + 1)) - 1;
+    }
+    [[nodiscard]] Slot& slot(u32 id) const
+    {
+        const std::size_t s = segment_of(id);
+        return segments_[s][id - k_first * ((std::size_t{1} << s) - 1)];
+    }
+
+    std::mutex mutex_;  ///< serializes add() and evict()
+    /// Written only by add() under mutex_, before the size_ store that
+    /// makes the segment's first id visible; never reassigned after.
+    std::array<std::unique_ptr<Slot[]>, k_segments> segments_;
+    std::atomic<std::size_t> size_{0};
 };
 
 }  // namespace seda::serve

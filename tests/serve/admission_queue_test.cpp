@@ -1,10 +1,14 @@
 // Bounded MPMC admission queue: capacity/backpressure, FIFO, batch pops,
-// close semantics, and a concurrency smoke the TSan job runs.
+// close semantics, and the concurrency tests the TSan job runs (exactly-once
+// delivery, per-producer order through a small ring, close() racing pushes).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <future>
 #include <mutex>
+#include <random>
 #include <set>
 #include <thread>
 #include <vector>
@@ -204,6 +208,105 @@ TEST(AdmissionQueue, ConcurrentProducersConsumersDeliverExactlyOnce)
     q.close();
     for (auto& t : consumers) t.join();
     EXPECT_EQ(seen.size(), k_producers * k_per_producer);
+}
+
+/// Runs `body` on its own thread and fails the whole binary if it is not
+/// done within `limit`: a hung queue must end the run, not stall it.
+template <typename Body>
+void within(std::chrono::seconds limit, Body body)
+{
+    std::packaged_task<void()> task(std::move(body));
+    std::future<void> done = task.get_future();
+    std::thread runner(std::move(task));
+    if (done.wait_for(limit) != std::future_status::ready) {
+        ADD_FAILURE() << "still running after " << limit.count() << " s";
+        std::abort();
+    }
+    runner.join();
+    done.get();
+}
+
+TEST(AdmissionQueue, RingKeepsEachProducersOrderThroughSmallCapacity)
+{
+    constexpr u32 k_producers = 4;
+    constexpr u64 k_per_producer = 10'000;
+    Admission_queue q(16);
+    within(std::chrono::seconds(120), [&] {
+        std::vector<std::thread> producers;
+        for (u32 p = 0; p < k_producers; ++p)
+            producers.emplace_back([&q, p] {
+                for (u64 i = 0; i < k_per_producer; ++i) {
+                    Request r = make_request(i);
+                    r.client_id = p;
+                    ASSERT_TRUE(q.push(r));
+                }
+            });
+        std::vector<u64> next(k_producers, 0);
+        std::vector<Request> out;
+        for (u64 popped = 0; popped < k_producers * k_per_producer;) {
+            out.clear();
+            popped += q.pop_batch(out, 5);
+            for (const Request& r : out) {
+                EXPECT_EQ(r.seq, next.at(r.client_id)) << "producer " << r.client_id;
+                next.at(r.client_id) = r.seq + 1;
+            }
+        }
+        for (auto& t : producers) t.join();
+        q.close();
+        out.clear();
+        EXPECT_EQ(q.pop_batch(out, 5), 0u);
+        for (u32 p = 0; p < k_producers; ++p) EXPECT_EQ(next[p], k_per_producer);
+    });
+}
+
+TEST(AdmissionQueue, CloseRacingPushesNeitherDropsNorHangs)
+{
+    // Producers hammer a 2-cell ring, so at any instant some are asleep on
+    // a full ring and some are between claiming a cell and filling it;
+    // close() lands at a random moment.  Every push that returned true must
+    // be popped before pop_batch() reports shutdown.
+    constexpr u32 k_producers = 4;
+    constexpr int k_rounds = 300;
+    within(std::chrono::seconds(120), [] {
+        std::mt19937 rng(7);
+        for (int round = 0; round < k_rounds; ++round) {
+            Admission_queue q(2);
+            std::vector<std::atomic<u64>> accepted(k_producers);
+            std::vector<std::thread> producers;
+            for (u32 p = 0; p < k_producers; ++p)
+                producers.emplace_back([&q, &accepted, p] {
+                    for (u64 i = 0;; ++i) {
+                        Request r = make_request(i);
+                        r.client_id = p;
+                        if (!q.push(r)) return;
+                        accepted[p].fetch_add(1);
+                    }
+                });
+            std::vector<u64> popped(k_producers, 0);
+            std::thread consumer([&] {
+                std::vector<Request> out;
+                while (q.pop_batch(out, 3) != 0) {
+                    for (const Request& r : out) {
+                        EXPECT_EQ(r.seq, popped[r.client_id]);
+                        ++popped[r.client_id];
+                    }
+                    out.clear();
+                }
+            });
+            // Close only once every producer is pushing, at a random moment.
+            for (const auto& a : accepted)
+                while (a.load() == 0) std::this_thread::yield();
+            const auto spin = std::chrono::microseconds(rng() % 50);
+            for (const auto t0 = std::chrono::steady_clock::now();
+                 std::chrono::steady_clock::now() - t0 < spin;) {
+            }
+            q.close();
+            for (auto& t : producers) t.join();
+            consumer.join();
+            for (u32 p = 0; p < k_producers; ++p)
+                ASSERT_EQ(popped[p], accepted[p].load()) << "round " << round << ", producer " << p;
+        }
+    });
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 // Differential model check of the serve scheduler.  Seeded op streams --
 // writes, reads, reads of never-written units, write/read flips on one
-// address and duplicate writes, over 2-3 tenants -- run through
+// address and duplicate writes, over 2-4 tenants -- run through
 //   (a) Batch_scheduler::dispatch, cut into random windows of 1-64
-//       requests, on pools of 1 and 3 workers, and
+//       requests, each followed by deliver(), on pools of 1 and 3 workers,
 //   (b) a live Server with a random max_batch, fed by one pipelined
-//       producer,
+//       producer, and
+//   (c) the same Server fed by one producer thread per tenant, so the
+//       admission order across tenants changes from run to run while each
+//       tenant's own order stays fixed,
 // with tamper and rollback faults applied between windows.  A plaintext
 // map is the reference: every op's result and every tenant's
 // Tenant_counters (failure records in order included) must equal it.
@@ -16,6 +19,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -98,13 +102,12 @@ struct Unit_model {
 
 class Stream_builder {
 public:
+    /// A stream over 2 or 3 tenants, drawn from the seed.
     explicit Stream_builder(u64 seed) : rng_(seed)
     {
-        s_.tenants = 2 + static_cast<u32>(rng_.next_below(2));
-        s_.counters.resize(s_.tenants);
-        units_.assign(s_.tenants, std::vector<Unit_model>(k_addrs + k_cold_addrs));
-        s_.segments.emplace_back();
+        init(2 + static_cast<u32>(rng_.next_below(2)));
     }
+    Stream_builder(u64 seed, u32 tenants) : rng_(seed) { init(tenants); }
 
     Stream build()
     {
@@ -132,6 +135,14 @@ public:
     }
 
 private:
+    void init(u32 tenants)
+    {
+        s_.tenants = tenants;
+        s_.counters.resize(s_.tenants);
+        units_.assign(s_.tenants, std::vector<Unit_model>(k_addrs + k_cold_addrs));
+        s_.segments.emplace_back();
+    }
+
     void emit(u32 t, Op op, u64 unit)
     {
         Model_op m;
@@ -267,7 +278,7 @@ void expect_counters(const Serve_stats& stats, const Stream& s)
 }
 
 /// Path (a): the stream cut into random windows of 1-64 requests, each a
-/// Batch_scheduler::dispatch on the test thread.
+/// Batch_scheduler::dispatch on the test thread, then deliver().
 void run_dispatch(const Stream& s, u64 seed, std::size_t workers)
 {
     runtime::Thread_pool pool(workers);
@@ -293,6 +304,7 @@ void run_dispatch(const Stream& s, u64 seed, std::size_t workers)
                 done.push_back(window.back().reply.emplace().get_future());
             }
             scheduler.dispatch(window, stats);
+            deliver(window);
             for (std::size_t i = 0; i < n; ++i)
                 expect_result(seg.ops[begin + i], done[i], op_index++);
             if (::testing::Test::HasFailure()) return;
@@ -325,6 +337,40 @@ void run_server(const Stream& s, u64 seed)
             expect_result(seg.ops[i], done[i], op_index++);
         if (::testing::Test::HasFailure()) return;
         // Drained: the scheduler thread is parked in the admission queue.
+        apply_faults(seg.faults, memories, snapshots);
+    }
+    server.stop();
+    expect_counters(server.stats(), s);
+}
+
+/// Path (c): a live Server fed by one producer thread per tenant.  Each
+/// thread submits its tenant's ops of a segment in stream order, then the
+/// test drains before the faults land.
+void run_server_producers(const Stream& s, u64 seed)
+{
+    Rng rng(seed * 31 + 11);
+    Server server(k_master_enc, k_master_mac,
+                  {.tenants = s.tenants,
+                   .workers = rng.next_below(2) == 0 ? 1u : 3u,
+                   .max_batch = 1 + rng.next_below(64)});
+    server.start();
+    std::vector<Secure_memory*> memories;
+    for (u32 t = 0; t < s.tenants; ++t) memories.push_back(&server.tenant(t).session().memory());
+    Snapshots snapshots;
+    std::size_t op_index = 0;
+    for (const Segment& seg : s.segments) {
+        std::vector<std::future<Response>> done(seg.ops.size());
+        std::vector<std::thread> producers;
+        for (u32 t = 0; t < s.tenants; ++t)
+            producers.emplace_back([&, t] {
+                for (std::size_t i = 0; i < seg.ops.size(); ++i)
+                    if (seg.ops[i].tenant == t) done[i] = server.submit(make_request(seg.ops[i]));
+            });
+        for (std::thread& p : producers) p.join();
+        server.drain();
+        for (std::size_t i = 0; i < seg.ops.size(); ++i)
+            expect_result(seg.ops[i], done[i], op_index++);
+        if (::testing::Test::HasFailure()) return;
         apply_faults(seg.faults, memories, snapshots);
     }
     server.stop();
@@ -366,6 +412,17 @@ TEST(SchedulerModel, ServerMatchesTheModelAtEverySeed)
     for (u64 seed = 0; seed < k_seeds; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
         run_server(Stream_builder(seed).build(), seed);
+        if (HasFailure()) return;
+    }
+}
+
+TEST(SchedulerModel, ConcurrentProducersMatchTheModelAtEverySeed)
+{
+    for (u64 seed = 0; seed < k_seeds; ++seed) {
+        const auto tenants = static_cast<u32>(2 + seed % 3);
+        SCOPED_TRACE("seed " + std::to_string(seed) + ", " + std::to_string(tenants) +
+                     " producer threads");
+        run_server_producers(Stream_builder(seed, tenants).build(), seed);
         if (HasFailure()) return;
     }
 }

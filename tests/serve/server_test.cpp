@@ -2,6 +2,7 @@
 // concurrent clients, malformed-request containment, and stats.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
 #include <thread>
 #include <vector>
@@ -200,6 +201,48 @@ TEST(ServeServer, BatchedResultsMatchSerialMemoryState)
         const auto expected = serial.snapshot(addr);
         EXPECT_EQ(served.ciphertext, expected.ciphertext) << "unit " << i;
         EXPECT_EQ(served.mac, expected.mac) << "unit " << i;
+    }
+}
+
+TEST(ServeServer, LifetimeCyclesResolveEveryFuture)
+{
+    // Construct, start, submit one window, wait, destroy -- 200 times.  The
+    // destructor must wait for the completion drainer (a pool task that
+    // uses the server's members) before any member dies.
+    for (u64 cycle = 0; cycle < 200; ++cycle) {
+        Server server(make_key(1), make_key(2), {.tenants = 2, .workers = 1 + cycle % 2});
+        server.start();
+        std::vector<std::future<Response>> pending;
+        for (u64 i = 0; i < 8; ++i)
+            pending.push_back(server.submit(
+                make_request(static_cast<u32>(i % 2), Op::write, i * k_unit_bytes, unit_data(i))));
+        pending.push_back(server.submit(make_request(0, Op::read, 0)));
+        for (auto& f : pending) ASSERT_EQ(f.get().status, Verify_status::ok) << "cycle " << cycle;
+    }
+}
+
+TEST(ServeServer, StopWithWindowsQueuedResolvesEveryFuture)
+{
+    // max_batch 1 turns every request into its own window, so stop() lands
+    // with windows still queued for dispatch and for delivery.  Every future
+    // must be ready once stop() (or the destructor) returns.
+    for (u64 cycle = 0; cycle < 20; ++cycle) {
+        std::vector<std::future<Response>> pending;
+        {
+            Server server(make_key(3), make_key(4), {.tenants = 1, .workers = 2, .max_batch = 1});
+            server.start();
+            for (u64 i = 0; i < 256; ++i)
+                pending.push_back(server.submit(
+                    make_request(0, Op::write, (i % 32) * k_unit_bytes, unit_data(i))));
+            if (cycle % 2 == 0) {
+                server.stop();
+                EXPECT_EQ(server.stats().requests, pending.size());
+            }
+        }
+        for (auto& f : pending) {
+            ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+            EXPECT_EQ(f.get().status, Verify_status::ok);
+        }
     }
 }
 
