@@ -7,14 +7,14 @@
 // are AES-CMAC -- runs once per AES backend, and the SHA-256 bench (the KDF's
 // hash) once per SHA-256 backend, so the round-implementation share is
 // measured, not asserted.  bm_aes128_encrypt_blocks is the bulk cipher call
-// the datapath makes (Baes_engine::otps_many and every CMAC wave).  The
-// hardware kinds (aesni, shani) are registered at runtime only when this
-// host's CPUID has the features -- a static BENCHMARK() would silently
-// measure the software fallback under a hardware label on older CPUs --
-// which is why this file has its own main() instead of BENCHMARK_MAIN().
+// behind Baes_engine::otps_many and the software backends' CMAC waves; it is
+// the roofline the aesni unit-MAC gear is held against.  The hardware kinds
+// (aesni, shani) are registered at runtime only when this host's CPUID has
+// the features -- a static BENCHMARK() would silently measure the software
+// fallback under a hardware label on older CPUs -- which is why this file
+// has its own main() instead of BENCHMARK_MAIN().
 #include <benchmark/benchmark.h>
 
-#include <array>
 #include <vector>
 
 #include "common/rng.h"
@@ -123,39 +123,43 @@ void bm_cmac_engine_mac(benchmark::State& state)
 }
 BENCHMARK(bm_cmac_engine_mac)->Arg(64)->Arg(512)->Arg(4096);
 
-// --- bulk unit MACs: one tile through positional_macs ------------------------
+// --- bulk unit MACs: one call through positional_macs -----------------------
 //
-// The MAC half of a secure-memory tile transfer: 64 independent unit MACs
-// under one engine, whose CBC chains advance in lock-step waves (one bulk
-// AES call per block position).  The argument is the unit size: 64 B is the
-// datapath's unit, 128-4096 B the optBlk sizes of Table I.
-
-constexpr std::size_t k_mac_units = 64;
+// The MAC half of a secure-memory transfer: `units` independent unit MACs of
+// `unit_bytes` each under one engine.  The aesni backend takes the fused
+// gear (the CBC chains of 16 units held in registers across the whole
+// message); scalar and ttable advance the chains in lock-step waves, one
+// bulk AES call per block position.  Args are {unit_bytes, units}: 64 B is
+// the datapath's unit, 128-4096 B the optBlk sizes of Table I, and the
+// 1/4/16-unit calls at 64 B cover serve flushes (3.4-5.5 units each), where
+// a group of chain registers runs partly empty.
 
 template <Aes_backend_kind K>
 void bm_unit_macs_bulk(benchmark::State& state)
 {
     const std::size_t unit_bytes = static_cast<std::size_t>(state.range(0));
+    const std::size_t units = static_cast<std::size_t>(state.range(1));
     const Cmac_engine engine(make_key(), K);
-    const auto data = make_data(unit_bytes * k_mac_units);
+    const auto data = make_data(unit_bytes * units);
     std::vector<Mac_request> reqs;
-    for (std::size_t i = 0; i < k_mac_units; ++i)
+    for (std::size_t i = 0; i < units; ++i)
         reqs.push_back({std::span<const u8>(data).subspan(unit_bytes * i, unit_bytes),
                         {0x1000 + unit_bytes * i, 1, 3, 0, static_cast<u32>(i)}});
-    std::array<u64, k_mac_units> macs{};
+    std::vector<u64> macs(units);
     for (auto _ : state) {
         engine.positional_macs(reqs, macs);
         benchmark::DoNotOptimize(macs.data());
     }
     state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
-                            static_cast<i64>(unit_bytes * k_mac_units));
+                            static_cast<i64>(unit_bytes * units));
 }
-void unit_mac_sizes(benchmark::internal::Benchmark* b)
+void unit_mac_shapes(benchmark::internal::Benchmark* b)
 {
-    for (const i64 bytes : {64, 128, 256, 512, 1024, 4096}) b->Arg(bytes);
+    for (const i64 units : {1, 4, 16}) b->Args({64, units});
+    for (const i64 bytes : {64, 128, 256, 512, 1024, 4096}) b->Args({bytes, 64});
 }
-BENCHMARK(bm_unit_macs_bulk<Aes_backend_kind::scalar>)->Apply(unit_mac_sizes);
-BENCHMARK(bm_unit_macs_bulk<Aes_backend_kind::ttable>)->Apply(unit_mac_sizes);
+BENCHMARK(bm_unit_macs_bulk<Aes_backend_kind::scalar>)->Apply(unit_mac_shapes);
+BENCHMARK(bm_unit_macs_bulk<Aes_backend_kind::ttable>)->Apply(unit_mac_shapes);
 
 // --- CTR disciplines, per backend --------------------------------------------
 //
@@ -191,8 +195,8 @@ void bm_baes_crypt(benchmark::State& state)
     }
     state.SetBytesProcessed(static_cast<i64>(state.iterations()) * state.range(0));
 }
-BENCHMARK(bm_baes_crypt<Aes_backend_kind::scalar>)->Arg(64)->Arg(512);
-BENCHMARK(bm_baes_crypt<Aes_backend_kind::ttable>)->Arg(64)->Arg(512);
+BENCHMARK(bm_baes_crypt<Aes_backend_kind::scalar>)->Arg(64)->Arg(256)->Arg(512);
+BENCHMARK(bm_baes_crypt<Aes_backend_kind::ttable>)->Arg(64)->Arg(256)->Arg(512);
 
 void bm_baes_otp_fanout(benchmark::State& state)
 {
@@ -290,10 +294,11 @@ int main(int argc, char** argv)
         benchmark::RegisterBenchmark("bm_baes_crypt<Aes_backend_kind::aesni>",
                                      bm_baes_crypt<k>)
             ->Arg(64)
+            ->Arg(256)
             ->Arg(512);
         benchmark::RegisterBenchmark("bm_unit_macs_bulk<Aes_backend_kind::aesni>",
                                      bm_unit_macs_bulk<k>)
-            ->Apply(unit_mac_sizes);
+            ->Apply(unit_mac_shapes);
     }
     if (sha256_backend_available(Sha256_backend_kind::shani))
         benchmark::RegisterBenchmark("bm_sha256_64b<Sha256_backend_kind::shani>",

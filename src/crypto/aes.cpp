@@ -13,17 +13,17 @@ constexpr auto k_sbox = make_aes_sbox();
 
 }  // namespace
 
-std::vector<Block16> expand_round_keys(std::span<const u8> key)
+std::size_t expand_round_keys(std::span<const u8> key, Round_key_bank& out)
 {
     // AES-128 (the only key size on the stack's hot paths) expands through
     // aeskeygenassist when available; 192/256-bit keys and hardware-less
     // hosts take the portable path.  Bit-identical either way, which
     // tests/crypto/aes_backend_test.cpp asserts.
-    if (std::vector<Block16> hw; aesni_expand_round_keys128(key, hw)) return hw;
-    return expand_round_keys_portable(key);
+    if (aesni_expand_round_keys128(key, out)) return 11;  // AES-128: 10 rounds + the key
+    return expand_round_keys_portable(key, out);
 }
 
-std::vector<Block16> expand_round_keys_portable(std::span<const u8> key)
+std::size_t expand_round_keys_portable(std::span<const u8> key, Round_key_bank& out)
 {
     int nk = 0;  // key length in 32-bit words
     int rounds = 0;
@@ -36,7 +36,7 @@ std::vector<Block16> expand_round_keys_portable(std::span<const u8> key)
     }
 
     const int total_words = 4 * (rounds + 1);
-    std::vector<std::array<u8, 4>> w(static_cast<std::size_t>(total_words));
+    std::array<std::array<u8, 4>, 4 * k_max_round_keys> w{};
     for (int i = 0; i < nk; ++i)
         for (int b = 0; b < 4; ++b)
             w[static_cast<std::size_t>(i)][static_cast<std::size_t>(b)] =
@@ -60,22 +60,23 @@ std::vector<Block16> expand_round_keys_portable(std::span<const u8> key)
                 temp[static_cast<std::size_t>(b)]);
     }
 
-    std::vector<Block16> round_keys(static_cast<std::size_t>(rounds + 1));
     for (int r = 0; r <= rounds; ++r)
         for (int c = 0; c < 4; ++c)
             for (int b = 0; b < 4; ++b)
-                round_keys[static_cast<std::size_t>(r)][static_cast<std::size_t>(4 * c + b)] =
+                out[static_cast<std::size_t>(r)][static_cast<std::size_t>(4 * c + b)] =
                     w[static_cast<std::size_t>(4 * r + c)][static_cast<std::size_t>(b)];
-    return round_keys;
+    return static_cast<std::size_t>(rounds + 1);
 }
 
 Aes::Aes(std::span<const u8> key, Aes_backend_kind kind)
     : backend_(&backend_for(kind))
 {
-    schedule_.round_keys = expand_round_keys(key);
-    schedule_.rounds = static_cast<int>(schedule_.round_keys.size()) - 1;
+    Round_key_bank bank;
+    const std::size_t count = expand_round_keys(key, bank);
+    schedule_.round_keys.assign(bank.begin(), bank.begin() + static_cast<std::ptrdiff_t>(count));
+    schedule_.rounds = static_cast<int>(count) - 1;
     // The word form for the table-driven backend: the schedule verbatim.
-    schedule_.enc_words.reserve(4 * schedule_.round_keys.size());
+    schedule_.enc_words.reserve(4 * count);
     for (const Block16& rk : schedule_.round_keys)
         for (int c = 0; c < 4; ++c) schedule_.enc_words.push_back(load_be32(rk.data() + 4 * c));
 }

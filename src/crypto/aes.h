@@ -151,15 +151,24 @@ private:
     return t;
 }
 
-/// keyExpansion alone: the rounds+1 byte-form round keys for a 16/24/32-byte
-/// key (throws Seda_error otherwise), without the word-form schedules an Aes
-/// instance carries.  B-AES derived pad banks only need these.  AES-128
-/// expansion runs through aeskeygenassist when the AES-NI backend is
-/// available; the result is bit-identical to the portable path.
-[[nodiscard]] std::vector<Block16> expand_round_keys(std::span<const u8> key);
+/// Round keys of the widest schedule: AES-256's rounds+1 = 15.
+inline constexpr std::size_t k_max_round_keys = 15;
+
+/// Fixed storage for one keyExpansion, so B-AES derived pad banks expand
+/// without touching the heap.
+using Round_key_bank = std::array<Block16, k_max_round_keys>;
+
+/// keyExpansion alone: writes the rounds+1 byte-form round keys for a
+/// 16/24/32-byte key (throws Seda_error otherwise) to the front of `out` and
+/// returns their count, without the word-form schedules an Aes instance
+/// carries.  B-AES derived pad banks only need these.  AES-128 expansion
+/// runs through aeskeygenassist when the AES-NI backend is available; the
+/// result is bit-identical to the portable path.
+[[nodiscard]] std::size_t expand_round_keys(std::span<const u8> key, Round_key_bank& out);
 
 /// The portable RotWord/SubWord/Rcon expansion, unconditionally.  Exposed so
 /// tests can cross-validate the aeskeygenassist path against it.
-[[nodiscard]] std::vector<Block16> expand_round_keys_portable(std::span<const u8> key);
+[[nodiscard]] std::size_t expand_round_keys_portable(std::span<const u8> key,
+                                                     Round_key_bank& out);
 
 }  // namespace seda::crypto

@@ -16,7 +16,9 @@
 //   * aesni   - hardware rounds via aesenc with 8 blocks in flight, and a
 //               VAES 2x128-bit-lane gear when the CPU has it.  CPUID-gated
 //               at runtime; the default wherever available
-//               (src/crypto/aes_backend_aesni.cpp).
+//               (src/crypto/aes_backend_aesni.cpp).  The same file holds
+//               the unit-MAC gear (aesni_positional_cmacs) that
+//               Cmac_engine takes on this backend.
 //
 // Backends are stateless singletons: the key schedule travels with the Aes
 // instance, so one backend object serves any number of keys concurrently.
@@ -32,6 +34,8 @@
 #include "crypto/aes.h"
 
 namespace seda::crypto {
+
+struct Mac_request;
 
 /// One round implementation.  Implementations must be stateless (aside from
 /// immutable tables) so const use is thread-safe.
@@ -87,9 +91,31 @@ struct Cpu_crypto_features {
 [[nodiscard]] Cpu_crypto_features cpu_crypto_features();
 
 /// AES-128 key expansion via aeskeygenassist, used by expand_round_keys as
-/// a drop-in for the portable path.  Returns false (leaving `out` untouched)
-/// unless the key is 16 bytes and the AES-NI backend is available.
-[[nodiscard]] bool aesni_expand_round_keys128(std::span<const u8> key,
-                                              std::vector<Block16>& out);
+/// a drop-in for the portable path: writes the 11 round keys to the front of
+/// `out`.  Returns false (leaving `out` untouched) unless the key is 16 bytes
+/// and the AES-NI backend is available.
+[[nodiscard]] bool aesni_expand_round_keys128(std::span<const u8> key, Round_key_bank& out);
+
+/// The unit-MAC gear behind Cmac_engine::positional_macs on the aesni
+/// backend: out[i] = the 64-bit truncated AES-CMAC of reqs[i].ciphertext
+/// followed by its 28 position bytes (crypto/mac.h), under the schedule `ks`
+/// and CMAC subkey `k2`.  Every ciphertext must be the same whole number of
+/// 16 B blocks (Secure_memory units always are), so each message is those
+/// blocks, one complete position block and one padded final block; the CBC
+/// chains of a group of units stay in registers across all of them.  The
+/// VAES gear (vaes+avx2) holds 16 chains in 8 ymm registers, the SSE gear 8
+/// in xmm registers; CPUID picks one once per process, as for the bulk
+/// cipher.  Returns false (leaving `out` untouched) when the AES-NI backend
+/// is unavailable or the ciphertexts are not all the same whole number of
+/// blocks.  `out.size()` must equal `reqs.size()` (Seda_error otherwise).
+[[nodiscard]] bool aesni_positional_cmacs(const Aes_key_schedule& ks, const Block16& k2,
+                                          std::span<const Mac_request> reqs,
+                                          std::span<u64> out);
+
+/// aesni_positional_cmacs with the SSE gear forced.  Exposed so tests can
+/// cross-validate that gear on hosts where CPUID picks VAES.
+[[nodiscard]] bool aesni_positional_cmacs_sse(const Aes_key_schedule& ks, const Block16& k2,
+                                              std::span<const Mac_request> reqs,
+                                              std::span<u64> out);
 
 }  // namespace seda::crypto

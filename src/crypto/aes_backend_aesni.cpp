@@ -14,6 +14,12 @@
 //             eight blocks in flight, half the instructions.  Selected per
 //             backend instance when CPUID reports vaes+avx2.
 //
+// The same two gears drive the unit-MAC kernel (aesni_positional_cmacs):
+// AES-CMAC over equal whole-block ciphertexts and their position fields,
+// with the CBC chains of 16 (vaes) or 8 (sse) units held in registers from
+// the first block to the tag.  CBC is serial within a unit, so the chains
+// of a group are what keeps the pipeline full.
+//
 // The byte layout needs no translation: FIPS-197 round keys and AES-NI both
 // treat the 16 bytes as the column-major state, so round keys load straight
 // from Aes_key_schedule::round_keys.
@@ -21,19 +27,40 @@
 // Everything here is compiled with per-function target attributes (plus
 // per-file -maes flags in CMake, belt and braces), so the TU builds and
 // links under the baseline -march; runtime selection happens once in
-// aesni_backend() via __builtin_cpu_supports.  SEDA_DISABLE_HW_CRYPTO
-// compiles the whole backend out, leaving the nullptr stubs at the bottom.
+// aesni_gear() via __builtin_cpu_supports.  SEDA_DISABLE_HW_CRYPTO
+// compiles the whole file out, leaving the declining stubs at the bottom.
 #include "crypto/aes_backend.h"
 
 #if defined(__x86_64__) && !defined(SEDA_DISABLE_HW_CRYPTO)
 
 #include <immintrin.h>
 
+#include <array>
+#include <optional>
+#include <utility>
+
+#include "common/error.h"
+#include "crypto/mac.h"
+
 namespace seda::crypto {
 namespace {
 
-/// rounds+1 round keys, AES-256's 15 at most.
-constexpr int k_max_round_keys = 15;
+/// CPUID once per process: whether AES-NI runs here, and whether its VAES
+/// 2x128-lane gear does.  The bulk cipher and the unit-MAC kernel share it.
+struct Aesni_gear {
+    bool available = false;
+    bool vaes = false;
+};
+
+const Aesni_gear& aesni_gear()
+{
+    static const Aesni_gear gear = [] {
+        const bool aes = __builtin_cpu_supports("aes") && __builtin_cpu_supports("sse4.1");
+        return Aesni_gear{aes, aes && __builtin_cpu_supports("vaes") &&
+                                   __builtin_cpu_supports("avx2")};
+    }();
+    return gear;
+}
 
 [[gnu::target("aes,sse4.1")]] inline __m128i load_block(const u8* p)
 {
@@ -152,6 +179,212 @@ constexpr int k_max_round_keys = 15;
 #undef SEDA_AES_EXPAND
 }
 
+// ------------------------------------------------ positional CMAC gear ----
+//
+// The unit MAC (crypto/mac.h) of an m-block ciphertext is a CBC-MAC over
+// m + 2 blocks: the ciphertext blocks, be64(pa) || be64(vn), and
+// be32(layer) || be32(fmap) || be32(blk) || 80 00 00 00 folded with K2 (the
+// 28 position bytes leave the final block padded).  The kernels load the
+// ciphertext blocks straight from each unit and build both position blocks
+// in registers, so nothing is staged.  tests/crypto/cmac_test.cpp holds
+// them to the portable wave in crypto/mac.cpp on every count, unit size,
+// key size and gear.
+
+/// be64(pa) || be64(vn).
+[[gnu::target("aes,sse4.1")]] inline __m128i position_block(const Mac_context& c)
+{
+    return _mm_set_epi64x(static_cast<long long>(__builtin_bswap64(c.vn)),
+                          static_cast<long long>(__builtin_bswap64(c.pa)));
+}
+
+/// be32(layer) || be32(fmap) || be32(blk) || 80 00 00 00, before the K2 fold.
+[[gnu::target("aes,sse4.1")]] inline __m128i final_block(const Mac_context& c)
+{
+    return _mm_set_epi32(0x80, static_cast<int>(__builtin_bswap32(c.blk_idx)),
+                         static_cast<int>(__builtin_bswap32(c.fmap_idx)),
+                         static_cast<int>(__builtin_bswap32(c.layer_id)));
+}
+
+/// The tag's first 8 bytes read big-endian: the stored 64-bit unit MAC.
+[[gnu::target("aes,sse4.1")]] inline u64 truncate_tag(__m128i tag)
+{
+    return __builtin_bswap64(static_cast<u64>(_mm_cvtsi128_si64(tag)));
+}
+
+/// Round keys for the kernels, with K2 ^ rk[0] precombined for the final
+/// block.  Passed by reference so no vector crosses a call by value.
+struct Sse_cmac_keys {
+    __m128i rk[k_max_round_keys];
+    __m128i k2_rk0;
+    int rounds;
+};
+
+struct Vaes_cmac_keys {
+    __m256i rk[k_max_round_keys];
+    __m256i k2_rk0;
+    int rounds;
+};
+
+template <int N>
+[[gnu::target("aes,sse4.1")]] inline void encrypt_chains(__m128i (&x)[N],
+                                                         const Sse_cmac_keys& k)
+{
+    for (int r = 1; r < k.rounds; ++r)
+        for (int j = 0; j < N; ++j) x[j] = _mm_aesenc_si128(x[j], k.rk[r]);
+    for (int j = 0; j < N; ++j) x[j] = _mm_aesenclast_si128(x[j], k.rk[k.rounds]);
+}
+
+/// out[j] = the unit MAC of units[j] for j < N, one chain per xmm register.
+template <int N>
+[[gnu::target("aes,sse4.1")]] void cmac_group_sse(const Sse_cmac_keys& k,
+                                                  const Mac_request* units, std::size_t blocks,
+                                                  u64* out)
+{
+    __m128i x[N];
+    for (int j = 0; j < N; ++j) x[j] = _mm_setzero_si128();
+    for (std::size_t b = 0; b < blocks; ++b) {
+        for (int j = 0; j < N; ++j)
+            x[j] = _mm_xor_si128(
+                x[j], _mm_xor_si128(load_block(units[j].ciphertext.data() + 16 * b), k.rk[0]));
+        encrypt_chains(x, k);
+    }
+    for (int j = 0; j < N; ++j)
+        x[j] = _mm_xor_si128(x[j], _mm_xor_si128(position_block(units[j].ctx), k.rk[0]));
+    encrypt_chains(x, k);
+    for (int j = 0; j < N; ++j)
+        x[j] = _mm_xor_si128(x[j], _mm_xor_si128(final_block(units[j].ctx), k.k2_rk0));
+    encrypt_chains(x, k);
+    for (int j = 0; j < N; ++j) out[j] = truncate_tag(x[j]);
+}
+
+template <int N>
+[[gnu::target("vaes,avx2,aes")]] inline void encrypt_chains(__m256i (&x)[N],
+                                                            const Vaes_cmac_keys& k)
+{
+    for (int r = 1; r < k.rounds; ++r)
+        for (int j = 0; j < N; ++j) x[j] = _mm256_aesenc_epi128(x[j], k.rk[r]);
+    for (int j = 0; j < N; ++j) x[j] = _mm256_aesenclast_epi128(x[j], k.rk[k.rounds]);
+}
+
+/// out[i] = the unit MAC of units[i] for i < count (2N-1 or 2N), two
+/// chains per ymm register: units 2j and 2j+1 in register j's low and high
+/// lanes.  An odd count runs its last unit in both lanes of the last
+/// register and keeps one tag.
+template <int N>
+[[gnu::target("vaes,avx2,aes")]] void cmac_group_vaes(const Vaes_cmac_keys& k,
+                                                      const Mac_request* units, std::size_t count,
+                                                      std::size_t blocks, u64* out)
+{
+    const Mac_request* hi[N];
+    for (int j = 0; j < N; ++j)
+        hi[j] = &units[std::min<std::size_t>(2 * static_cast<std::size_t>(j) + 1, count - 1)];
+    __m256i x[N];
+    for (int j = 0; j < N; ++j) x[j] = _mm256_setzero_si256();
+    for (std::size_t b = 0; b < blocks; ++b) {
+        for (int j = 0; j < N; ++j) {
+            const __m256i m = _mm256_set_m128i(load_block(hi[j]->ciphertext.data() + 16 * b),
+                                               load_block(units[2 * j].ciphertext.data() + 16 * b));
+            x[j] = _mm256_xor_si256(x[j], _mm256_xor_si256(m, k.rk[0]));
+        }
+        encrypt_chains(x, k);
+    }
+    for (int j = 0; j < N; ++j) {
+        const __m256i m =
+            _mm256_set_m128i(position_block(hi[j]->ctx), position_block(units[2 * j].ctx));
+        x[j] = _mm256_xor_si256(x[j], _mm256_xor_si256(m, k.rk[0]));
+    }
+    encrypt_chains(x, k);
+    for (int j = 0; j < N; ++j) {
+        const __m256i m = _mm256_set_m128i(final_block(hi[j]->ctx), final_block(units[2 * j].ctx));
+        x[j] = _mm256_xor_si256(x[j], _mm256_xor_si256(m, k.k2_rk0));
+    }
+    encrypt_chains(x, k);
+    for (int j = 0; j < N; ++j) {
+        const std::size_t i = 2 * static_cast<std::size_t>(j);
+        out[i] = truncate_tag(_mm256_castsi256_si128(x[j]));
+        if (i + 1 < count) out[i + 1] = truncate_tag(_mm256_extracti128_si256(x[j], 1));
+    }
+}
+
+/// Group kernels for 1..8 registers, indexed by registers - 1: full groups
+/// take the last, and a batch's remainder the smallest that holds it.
+using Sse_group = void (*)(const Sse_cmac_keys&, const Mac_request*, std::size_t, u64*);
+using Vaes_group = void (*)(const Vaes_cmac_keys&, const Mac_request*, std::size_t,
+                            std::size_t, u64*);
+
+template <std::size_t... I>
+constexpr std::array<Sse_group, sizeof...(I)> sse_groups(std::index_sequence<I...>)
+{
+    return {&cmac_group_sse<static_cast<int>(I) + 1>...};
+}
+
+template <std::size_t... I>
+constexpr std::array<Vaes_group, sizeof...(I)> vaes_groups(std::index_sequence<I...>)
+{
+    return {&cmac_group_vaes<static_cast<int>(I) + 1>...};
+}
+
+/// Chain registers per group: with the round keys read from memory, 8 fill
+/// the pipeline without spilling the 16-register xmm/ymm file.
+constexpr int k_chain_registers = 8;
+constexpr auto k_sse_groups = sse_groups(std::make_index_sequence<k_chain_registers>{});
+constexpr auto k_vaes_groups = vaes_groups(std::make_index_sequence<k_chain_registers>{});
+
+[[gnu::target("aes,sse4.1")]] void positional_cmacs_sse(const Aes_key_schedule& ks,
+                                                        const Block16& k2,
+                                                        std::span<const Mac_request> reqs,
+                                                        std::size_t blocks, std::span<u64> out)
+{
+    Sse_cmac_keys k;
+    load_enc_keys(ks, k.rk);
+    k.rounds = ks.rounds;
+    k.k2_rk0 = _mm_xor_si128(load_block(k2.data()), k.rk[0]);
+    for (std::size_t i = 0; i < reqs.size(); i += k_chain_registers) {
+        const std::size_t count = std::min<std::size_t>(k_chain_registers, reqs.size() - i);
+        k_sse_groups[count - 1](k, &reqs[i], blocks, &out[i]);
+    }
+}
+
+[[gnu::target("vaes,avx2,aes")]] void positional_cmacs_vaes(const Aes_key_schedule& ks,
+                                                           const Block16& k2,
+                                                           std::span<const Mac_request> reqs,
+                                                           std::size_t blocks,
+                                                           std::span<u64> out)
+{
+    constexpr std::size_t group = 2 * k_chain_registers;
+    Vaes_cmac_keys k;
+    load_enc_keys_wide(ks, k.rk);
+    k.rounds = ks.rounds;
+    k.k2_rk0 = _mm256_xor_si256(_mm256_broadcastsi128_si256(load_block(k2.data())), k.rk[0]);
+    for (std::size_t i = 0; i < reqs.size(); i += group) {
+        const std::size_t count = std::min(group, reqs.size() - i);
+        k_vaes_groups[(count + 1) / 2 - 1](k, &reqs[i], count, blocks, &out[i]);
+    }
+}
+
+/// The block count every ciphertext in `reqs` shares, if they share one.
+std::optional<std::size_t> whole_blocks(std::span<const Mac_request> reqs)
+{
+    const std::size_t bytes = reqs.empty() ? 0 : reqs.front().ciphertext.size();
+    if (bytes % k_aes_block_bytes != 0) return std::nullopt;
+    for (const Mac_request& r : reqs)
+        if (r.ciphertext.size() != bytes) return std::nullopt;
+    return bytes / k_aes_block_bytes;
+}
+
+bool positional_cmacs(bool vaes, const Aes_key_schedule& ks, const Block16& k2,
+                      std::span<const Mac_request> reqs, std::span<u64> out)
+{
+    require(reqs.size() == out.size(), "aesni_positional_cmacs: size mismatch");
+    const std::optional<std::size_t> blocks = whole_blocks(reqs);
+    if (!aesni_gear().available || !blocks) return false;
+    if (vaes)
+        positional_cmacs_vaes(ks, k2, reqs, *blocks, out);
+    else
+        positional_cmacs_sse(ks, k2, reqs, *blocks, out);
+    return true;
+}
+
 class Aesni_backend final : public Aes_backend {
 public:
     explicit Aesni_backend(bool vaes) : vaes_(vaes) {}
@@ -174,20 +407,27 @@ private:
 
 const Aes_backend* aesni_backend()
 {
-    // CPUID once per process; the singleton's VAES gear choice rides along.
-    static const bool available =
-        __builtin_cpu_supports("aes") && __builtin_cpu_supports("sse4.1");
-    static const Aesni_backend backend(__builtin_cpu_supports("vaes") &&
-                                       __builtin_cpu_supports("avx2"));
-    return available ? &backend : nullptr;
+    static const Aesni_backend backend(aesni_gear().vaes);
+    return aesni_gear().available ? &backend : nullptr;
 }
 
-bool aesni_expand_round_keys128(std::span<const u8> key, std::vector<Block16>& out)
+bool aesni_expand_round_keys128(std::span<const u8> key, Round_key_bank& out)
 {
-    if (key.size() != 16 || aesni_backend() == nullptr) return false;
-    out.resize(11);
+    if (key.size() != 16 || !aesni_gear().available) return false;
     expand_key128_aesni(key.data(), out.data());
     return true;
+}
+
+bool aesni_positional_cmacs(const Aes_key_schedule& ks, const Block16& k2,
+                            std::span<const Mac_request> reqs, std::span<u64> out)
+{
+    return positional_cmacs(aesni_gear().vaes, ks, k2, reqs, out);
+}
+
+bool aesni_positional_cmacs_sse(const Aes_key_schedule& ks, const Block16& k2,
+                                std::span<const Mac_request> reqs, std::span<u64> out)
+{
+    return positional_cmacs(false, ks, k2, reqs, out);
 }
 
 }  // namespace seda::crypto
@@ -198,7 +438,19 @@ namespace seda::crypto {
 
 const Aes_backend* aesni_backend() { return nullptr; }
 
-bool aesni_expand_round_keys128(std::span<const u8> /*key*/, std::vector<Block16>& /*out*/)
+bool aesni_expand_round_keys128(std::span<const u8> /*key*/, Round_key_bank& /*out*/)
+{
+    return false;
+}
+
+bool aesni_positional_cmacs(const Aes_key_schedule& /*ks*/, const Block16& /*k2*/,
+                            std::span<const Mac_request> /*reqs*/, std::span<u64> /*out*/)
+{
+    return false;
+}
+
+bool aesni_positional_cmacs_sse(const Aes_key_schedule& /*ks*/, const Block16& /*k2*/,
+                                std::span<const Mac_request> /*reqs*/, std::span<u64> /*out*/)
 {
     return false;
 }

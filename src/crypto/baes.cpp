@@ -1,4 +1,8 @@
 #include "crypto/baes.h"
+
+#include <algorithm>
+#include <array>
+
 #include "common/bitutil.h"
 #include "common/error.h"
 
@@ -11,8 +15,10 @@ Baes_engine::Baes_engine(std::span<const u8> key, Aes_backend_kind kind)
 
 std::vector<Block16> Baes_engine::otps(Addr pa, u64 vn, std::size_t lanes) const
 {
+    const Block16 base = ctr_.otp(pa, vn);
     std::vector<Block16> pads;
-    fan_out(ctr_.otp(pa, vn), pa, vn, lanes, pads);
+    lane_keys(pa, vn, lanes, pads);
+    for (Block16& pad : pads) pad = xor_blocks(base, pad);
     return pads;
 }
 
@@ -26,59 +32,63 @@ void Baes_engine::otps_many(std::span<const Otp_request> reqs,
     ctr_.engine().encrypt_blocks(bases);
 }
 
-void Baes_engine::fan_out(const Block16& base, Addr pa, u64 vn, std::size_t lanes,
-                          std::vector<Block16>& pads) const
+void Baes_engine::lane_keys(Addr pa, u64 vn, std::size_t lanes,
+                            std::vector<Block16>& keys) const
 {
-    pads.clear();
-    pads.reserve(lanes);
     const auto primary = ctr_.engine().round_keys();
-    for (std::size_t i = 0; i < lanes && i < primary.size(); ++i)
-        pads.push_back(xor_blocks(base, primary[i]));
+    keys.assign(primary.begin(), primary.begin() + static_cast<std::ptrdiff_t>(
+                                                       std::min(lanes, primary.size())));
 
     // Extension for very wide units: re-key the expansion with
     // key ^ (PA || VN) ^ bank to mint additional independent key banks.
-    // Only keyExpansion runs here -- no cipher schedule is built.
-    u64 bank = 1;
-    while (pads.size() < lanes) {
-        const Block16 ctr_block = counter_add(make_counter(pa, vn), bank);
-        std::vector<u8> derived = key_;
-        for (std::size_t i = 0; i < derived.size(); ++i)
-            derived[i] = static_cast<u8>(derived[i] ^ ctr_block[i % ctr_block.size()]);
-        for (const auto& rk : expand_round_keys(derived)) {
-            if (pads.size() == lanes) break;
-            pads.push_back(xor_blocks(base, rk));
-        }
-        ++bank;
+    // Only keyExpansion runs here -- no cipher schedule is built -- and it
+    // runs into fixed storage, so a bank costs no heap traffic.
+    std::array<u8, 32> derived{};
+    Round_key_bank bank;
+    for (u64 b = 1; keys.size() < lanes; ++b) {
+        const Block16 ctr_block = counter_add(make_counter(pa, vn), b);
+        for (std::size_t i = 0; i < key_.size(); ++i)
+            derived[i] = static_cast<u8>(key_[i] ^ ctr_block[i % ctr_block.size()]);
+        const std::size_t count = expand_round_keys({derived.data(), key_.size()}, bank);
+        keys.insert(keys.end(), bank.begin(),
+                    bank.begin() + static_cast<std::ptrdiff_t>(
+                                       std::min(count, lanes - keys.size())));
     }
 }
 
 void Baes_engine::crypt(std::span<u8> data, Addr pa, u64 vn) const
 {
-    std::vector<Block16> pads;
-    crypt_with_base(data, pa, vn, ctr_.otp(pa, vn), pads);
+    std::vector<Block16> keys;
+    crypt_with_base(data, pa, vn, ctr_.otp(pa, vn), keys);
 }
 
 void Baes_engine::crypt_with_base(std::span<u8> data, Addr pa, u64 vn, const Block16& base,
-                                  std::vector<Block16>& pad_scratch) const
+                                  std::vector<Block16>& key_scratch) const
 {
-    const std::size_t lanes = (data.size() + k_aes_block_bytes - 1) / k_aes_block_bytes;
-    fan_out(base, pa, vn, lanes, pad_scratch);
-    xor_lanes(data, pad_scratch);
+    const auto primary = ctr_.engine().round_keys();
+    const std::size_t lanes = ceil_div(data.size(), k_aes_block_bytes);
+    if (lanes <= primary.size()) {
+        // One bank covers the unit: every pad is base ^ a primary round key,
+        // XORed straight into its segment.
+        xor_lanes(data, base, primary);
+        return;
+    }
+    lane_keys(pa, vn, lanes, key_scratch);
+    xor_lanes(data, base, key_scratch);
 }
 
-void Baes_engine::xor_lanes(std::span<u8> data, std::span<const Block16> pads)
+void Baes_engine::xor_lanes(std::span<u8> data, const Block16& base,
+                            std::span<const Block16> keys)
 {
-    const std::size_t lanes = (data.size() + k_aes_block_bytes - 1) / k_aes_block_bytes;
-    for (std::size_t seg = 0; seg < lanes; ++seg) {
-        const std::size_t off = seg * k_aes_block_bytes;
-        const std::size_t n = std::min<std::size_t>(k_aes_block_bytes, data.size() - off);
-        u8* p = data.data() + off;
-        const u8* pad = pads[seg].data();
-        if (n == k_aes_block_bytes) {
-            xor_16_bytes(p, pad);
-        } else {
-            for (std::size_t i = 0; i < n; ++i) p[i] = static_cast<u8>(p[i] ^ pad[i]);
-        }
+    const std::size_t full = data.size() / k_aes_block_bytes;
+    for (std::size_t seg = 0; seg < full; ++seg) {
+        const Block16 pad = xor_blocks(base, keys[seg]);
+        xor_16_bytes(data.data() + seg * k_aes_block_bytes, pad.data());
+    }
+    if (const std::size_t tail = data.size() % k_aes_block_bytes; tail != 0) {
+        const Block16 pad = xor_blocks(base, keys[full]);
+        u8* p = data.data() + full * k_aes_block_bytes;
+        for (std::size_t i = 0; i < tail; ++i) p[i] = static_cast<u8>(p[i] ^ pad[i]);
     }
 }
 

@@ -7,6 +7,7 @@
 
 #include "common/bitutil.h"
 #include "common/error.h"
+#include "crypto/aes_backend.h"
 
 namespace seda::crypto {
 namespace {
@@ -39,7 +40,9 @@ Block16 dbl(const Block16& b)
     return out;
 }
 
-/// Serializes the k_fields position bytes that follow the ciphertext.
+/// Serializes the k_fields position bytes that follow the ciphertext.  The
+/// aesni gear (crypto/aes_backend_aesni.cpp) builds the same bytes in
+/// registers.
 void put_fields(u8* p, const Mac_context& ctx)
 {
     store_be64(p, ctx.pa);
@@ -49,7 +52,10 @@ void put_fields(u8* p, const Mac_context& ctx)
     store_be32(p + 24, ctx.blk_idx);
 }
 
-/// AES-CMAC of up to k_wave messages at once: tags[i] = CMAC(msgs[i]).
+/// AES-CMAC of up to k_wave messages at once: tags[i] = CMAC(msgs[i]).  The
+/// portable path: every MAC on the scalar and ttable backends, ragged
+/// batches on any backend, mac() and the single-unit calls the tests hold
+/// the aesni gear (aesni_positional_cmacs) against.
 ///
 /// Each message is read as `direct` full blocks straight out of its head
 /// plus a staged tail of 1-3 blocks (the head's remainder, the position
@@ -112,7 +118,8 @@ u64 truncate64(const Block16& tag) { return load_be64(tag.data()); }
 
 }  // namespace
 
-Cmac_engine::Cmac_engine(std::span<const u8> key, Aes_backend_kind kind) : aes_(key, kind)
+Cmac_engine::Cmac_engine(std::span<const u8> key, Aes_backend_kind kind)
+    : aes_(key, kind), aesni_(aes_.backend_name() == "aesni")
 {
     // RFC 4493 sec. 2.3: L = AES_K(0^128), K1 = dbl(L), K2 = dbl(K1).
     k1_ = dbl(aes_.encrypt_block(Block16{}));
@@ -145,6 +152,7 @@ void Cmac_engine::positional_macs(std::span<const Mac_request> reqs,
                                   std::span<u64> out) const
 {
     require(reqs.size() == out.size(), "Cmac_engine::positional_macs: size mismatch");
+    if (aesni_ && aesni_positional_cmacs(aes_.schedule(), k2_, reqs, out)) return;
     std::array<Cmac_msg, k_wave> msgs;
     std::array<Block16, k_wave> tags;
     for (std::size_t first = 0; first < reqs.size(); first += k_wave) {

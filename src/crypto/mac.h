@@ -14,11 +14,19 @@
 //                           layer_id || fmap_idx || blk_idx, so any
 //                           re-permutation changes the layer MAC.
 //
-// Tile transfers go through the bulk entry point (positional_macs): the CBC
-// chains of up to 64 independent units advance in lock-step waves, one bulk
-// AES call per block position.  Single and bulk calls run the same wave
-// code, so they are bit-identical by construction; tests/crypto/
-// cmac_test.cpp holds that on equal-length and ragged batches.
+// Tile transfers go through the bulk entry point (positional_macs).  On the
+// aesni backend, a batch whose ciphertexts are all the same whole number of
+// 16 B blocks -- every Secure_memory batch, since unit_bytes is a multiple
+// of 16 -- runs the fused gear in crypto/aes_backend_aesni.cpp: the CBC
+// chains of 16 units (VAES, 8 ymm registers) or 8 (SSE) stay in registers
+// from the first ciphertext block to the tag, and the two position blocks
+// are built in registers from the Mac_context.  CPUID picks the gear, as
+// it does for the bulk cipher.  Everything else -- ragged batches, the
+// scalar and ttable backends, mac() and the single-unit calls -- runs the
+// portable wave: the CBC chains of up to 64 units advance in lock-step, one
+// bulk AES call per block position.  tests/crypto/cmac_test.cpp holds the
+// gear and the wave bit-identical on both gears, every backend and every
+// AES key size.
 #pragma once
 
 #include <span>
@@ -59,17 +67,19 @@ public:
                                      const Mac_context& ctx) const;
 
     /// Bulk truncated positional MACs: out[i] = positional_mac(
-    /// reqs[i].ciphertext, reqs[i].ctx), computed in waves of up to 64
-    /// units whose CBC chains advance together.  Ragged lengths are fine:
-    /// shorter units drop out of the later block positions.  `out.size()`
-    /// must equal `reqs.size()`.  This is the MAC half of Secure_memory's
-    /// tile write/read path.
+    /// reqs[i].ciphertext, reqs[i].ctx).  Equal whole-block ciphertexts on
+    /// the aesni backend take the fused gear; anything else runs waves of
+    /// up to 64 units whose CBC chains advance together, where ragged
+    /// lengths are fine (shorter units drop out of the later block
+    /// positions).  `out.size()` must equal `reqs.size()`.  This is the MAC
+    /// half of Secure_memory's tile write/read path.
     void positional_macs(std::span<const Mac_request> reqs, std::span<u64> out) const;
 
 private:
     Aes aes_;
-    Block16 k1_{};  ///< subkey for a complete final block
-    Block16 k2_{};  ///< subkey for a padded final block
+    bool aesni_ = false;  ///< aes_ runs the aesni backend, so bulk calls may take the gear
+    Block16 k1_{};        ///< subkey for a complete final block
+    Block16 k2_{};        ///< subkey for a padded final block
 };
 
 /// The datapath MAC engine under its pre-CMAC name.  The repo benchmark

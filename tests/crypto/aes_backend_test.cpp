@@ -129,15 +129,20 @@ TEST(AesBackendCrossValidation, HardwareKeyExpansionMatchesPortable)
     // AES-NI both calls take the portable path and this degenerates to a
     // determinism check.)
     Rng rng(0x4E5);
+    const auto expect_same_schedule = [](const std::vector<u8>& key) {
+        Round_key_bank dispatched{}, portable{};
+        EXPECT_EQ(expand_round_keys(key, dispatched), expand_round_keys_portable(key, portable));
+        EXPECT_EQ(dispatched, portable) << key.size() << " B key";
+    };
     for (int trial = 0; trial < 64; ++trial) {
         std::vector<u8> key(16);
         for (auto& b : key) b = rng.next_byte();
-        EXPECT_EQ(expand_round_keys(key), expand_round_keys_portable(key));
+        expect_same_schedule(key);
     }
     for (const std::size_t key_len : {24u, 32u}) {
         std::vector<u8> key(key_len);
         for (auto& b : key) b = rng.next_byte();
-        EXPECT_EQ(expand_round_keys(key), expand_round_keys_portable(key));
+        expect_same_schedule(key);
     }
 }
 

@@ -4,8 +4,10 @@
 #include <set>
 #include <vector>
 
+#include "common/bitutil.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "crypto/aes_backend.h"
 #include "crypto/baes.h"
 
 namespace seda::crypto {
@@ -152,6 +154,92 @@ TEST(Baes, ExtendedBankDiffersFromPrimary)
     std::set<Block16> unique(pads.begin(), pads.end());
     EXPECT_EQ(unique.size(), 22u);
 }
+
+// ---- in-place lanes against the pads, on every backend and key size ---------
+
+class BaesKindTest : public ::testing::TestWithParam<Aes_backend_kind> {
+protected:
+    void SetUp() override
+    {
+        if (!backend_available(GetParam()))
+            GTEST_SKIP() << to_string(GetParam()) << " backend not available on this CPU/build";
+    }
+};
+
+std::vector<u8> key_of(std::size_t bytes)
+{
+    std::vector<u8> key(bytes);
+    Rng rng(0xBAE5 + bytes);
+    for (auto& b : key) b = rng.next_byte();
+    return key;
+}
+
+TEST_P(BaesKindTest, CryptWithBaseEqualsTheOtpFanOut)
+{
+    // Units of up to rounds+1 segments (11/13/15 at AES-128/192/256) XOR
+    // base ^ round key in place; wider ones gather derived banks.  The sizes
+    // straddle that boundary -- 176 and 192 B at AES-128 -- and end in
+    // partial segments too.
+    for (const std::size_t key_bytes : {16u, 24u, 32u}) {
+        const Baes_engine baes(key_of(key_bytes), GetParam());
+        const std::size_t bank_bytes = 16 * baes.native_lanes();
+        Rng rng(0xF00D);
+        for (const std::size_t bytes :
+             {std::size_t{1}, std::size_t{16}, std::size_t{64}, std::size_t{100}, bank_bytes - 16,
+              bank_bytes - 5, bank_bytes, bank_bytes + 1, bank_bytes + 16, 2 * bank_bytes + 16,
+              std::size_t{512}}) {
+            const Baes_engine::Otp_request req{0x7000 + bytes, 3 + bytes};
+            std::vector<u8> data(bytes);
+            for (auto& b : data) b = rng.next_byte();
+            std::vector<u8> want = data;
+            const auto pads = baes.otps(req.pa, req.vn, ceil_div(bytes, std::size_t{16}));
+            for (std::size_t i = 0; i < bytes; ++i)
+                want[i] = static_cast<u8>(want[i] ^ pads[i / 16][i % 16]);
+
+            Block16 base{};
+            baes.otps_many({&req, 1}, {&base, 1});
+            std::vector<Block16> scratch;
+            baes.crypt_with_base(data, req.pa, req.vn, base, scratch);
+            EXPECT_EQ(data, want) << 8 * key_bytes << "-bit key, " << bytes << " B";
+        }
+    }
+}
+
+TEST_P(BaesKindTest, DerivedBanksArePortableExpansionsOfTheRekeyedKey)
+{
+    // Lane l past the primary bank takes round key l % lanes of
+    // keyExpansion(key ^ (PA || VN + bank)), bank = l / lanes -- computed
+    // here with the portable expansion, independently of the engine.
+    for (const std::size_t key_bytes : {16u, 24u, 32u}) {
+        const auto key = key_of(key_bytes);
+        const Baes_engine baes(key, GetParam());
+        const Addr pa = 0xFEDC'BA98'7654'3200ULL;
+        const u64 vn = 0xFFFF'FFFF'FFFF'FFFEULL;  // banks 2 and 3 wrap the VN half
+        const std::size_t native = baes.native_lanes();
+        const auto pads = baes.otps(pa, vn, 3 * native + 2);
+        const Block16 base = baes.ctr().otp(pa, vn);
+        for (std::size_t lane = 0; lane < pads.size(); ++lane) {
+            const u64 bank = lane / native;
+            Round_key_bank keys{};
+            if (bank == 0) {
+                keys[lane] = baes.ctr().engine().round_keys()[lane];
+            } else {
+                const Block16 ctr = counter_add(make_counter(pa, vn), bank);
+                std::vector<u8> derived = key;
+                for (std::size_t i = 0; i < derived.size(); ++i)
+                    derived[i] = static_cast<u8>(derived[i] ^ ctr[i % 16]);
+                ASSERT_EQ(expand_round_keys_portable(derived, keys), native);
+            }
+            EXPECT_EQ(pads[lane], xor_blocks(base, keys[lane % native]))
+                << 8 * key_bytes << "-bit key, lane " << lane;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBackends, BaesKindTest,
+                         ::testing::ValuesIn(all_backend_kinds().begin(),
+                                             all_backend_kinds().end()),
+                         [](const auto& info) { return to_string(info.param); });
 
 }  // namespace
 }  // namespace seda::crypto

@@ -1,8 +1,11 @@
 // AES-CMAC unit MACs (crypto/mac.h): the RFC 4493 examples on every AES
 // backend, the exact message and truncation the datapath stores, bulk calls
-// equal to single calls around the 64-unit wave boundary and on ragged
-// lengths, and the key-size rule.  AES kinds are enumerated at runtime;
-// hardware kinds skip with a message when CPUID lacks the feature.
+// equal to single calls (the wave) on every AES key size and unit size at
+// counts around each gear's group and the 64-unit wave, on ragged lengths
+// and under one flipped byte anywhere in a unit or its position fields,
+// both aesni gears called directly, and the key-size rule.  AES kinds are
+// enumerated at runtime; hardware kinds skip with a message when CPUID
+// lacks the feature.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -145,16 +148,33 @@ TEST(Cmac, KeysAreAesKeySizes)
 }
 
 // ---- bulk CMAC ≡ loop of single MACs ---------------------------------------
+//
+// On the aesni backend the bulk call takes the fused gear for equal
+// whole-block batches and the wave otherwise; positional_mac always runs
+// the wave, so it is the reference for both.
 
 using CmacBulkTest = AesKindTest;
+
+/// Position fields for unit i with every field's top byte set (pa and vn
+/// >= 2^56; layer, fmap and blk >= 2^24), so a byte-order slip shows.
+Mac_context high_context(std::size_t i)
+{
+    const auto small = static_cast<u32>(i);
+    return {0xA5ULL << 56 | 4096 * i, 0xC3ULL << 56 | (i + 1), 0x9Eu << 24 | small % 5,
+            0xF1u << 24 | small % 3, 0x87u << 24 | small};
+}
+
+std::vector<Mac_request> requests_for(const std::vector<std::vector<u8>>& units)
+{
+    std::vector<Mac_request> reqs;
+    for (std::size_t i = 0; i < units.size(); ++i) reqs.push_back({units[i], high_context(i)});
+    return reqs;
+}
 
 void expect_bulk_equals_loop(const Cmac_engine& engine,
                              const std::vector<std::vector<u8>>& units, const char* what)
 {
-    std::vector<Mac_request> reqs;
-    for (std::size_t i = 0; i < units.size(); ++i)
-        reqs.push_back({units[i], Mac_context{0x1000 + 4096 * i, i + 1, static_cast<u32>(i % 5),
-                                              static_cast<u32>(i % 3), static_cast<u32>(i)}});
+    const std::vector<Mac_request> reqs = requests_for(units);
     std::vector<u64> bulk(reqs.size());
     engine.positional_macs(reqs, bulk);
     for (std::size_t i = 0; i < reqs.size(); ++i)
@@ -163,28 +183,54 @@ void expect_bulk_equals_loop(const Cmac_engine& engine,
             << units[i].size() << " B";
 }
 
+/// Holds `bulk(engine, key, reqs, out)` to the wave (engine.positional_mac
+/// unit by unit, `engine` keyed with `key`) on the first n units of a
+/// 200-unit pool, for every n here, every unit size and every AES key size.
+/// Each n straddles a group or wave boundary: 8 xmm chains (SSE gear), 16
+/// ymm lanes (VAES gear) or the 64-unit wave.  0 B leaves only the position
+/// blocks, 16 B is the smallest unit, 64 B the datapath's, 128-4096 B the
+/// optBlk sizes of Table I.
+template <typename Bulk>
+void expect_matches_wave(Aes_backend_kind kind, Bulk&& bulk)
+{
+    constexpr std::size_t counts[] = {0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 200};
+    for (const std::size_t key_bytes : {16u, 24u, 32u}) {
+        const auto key = random_bytes(key_bytes, 3);
+        const Cmac_engine engine(key, kind);
+        for (const std::size_t unit_bytes : {0u, 16u, 64u, 128u, 256u, 512u, 1024u, 4096u}) {
+            std::vector<std::vector<u8>> units;
+            for (std::size_t i = 0; i < 200; ++i)
+                units.push_back(random_bytes(unit_bytes, 300 + i));
+            const std::vector<Mac_request> pool = requests_for(units);
+            std::vector<u64> want;
+            for (const Mac_request& r : pool)
+                want.push_back(engine.positional_mac(r.ciphertext, r.ctx));
+            for (const std::size_t n : counts) {
+                std::vector<u64> got(n);
+                bulk(engine, key, std::span<const Mac_request>(pool).first(n),
+                     std::span<u64>(got));
+                EXPECT_EQ(got, std::vector<u64>(want.begin(),
+                                                want.begin() + static_cast<std::ptrdiff_t>(n)))
+                    << 8 * key_bytes << "-bit key, " << unit_bytes << " B units, n = " << n;
+            }
+        }
+    }
+}
+
 TEST_P(CmacBulkTest, PositionalMacsEqualLoop)
 {
-    // 64 B is the unit-MAC baseline and 128-4096 B the optBlk sizes of
-    // Table I; the counts straddle the 64-unit wave.
-    const Cmac_engine engine(random_bytes(16, 3), GetParam());
-    for (const std::size_t unit_bytes : {64u, 128u, 256u, 512u, 1024u, 4096u}) {
-        std::vector<std::vector<u8>> units;
-        for (std::size_t i = 0; i < 21; ++i) units.push_back(random_bytes(unit_bytes, 300 + i));
-        expect_bulk_equals_loop(engine, units, "equal lengths");
-    }
-    for (const std::size_t n : {0u, 1u, 63u, 64u, 65u, 200u}) {
-        std::vector<std::vector<u8>> units;
-        for (std::size_t i = 0; i < n; ++i) units.push_back(random_bytes(64, 900 + i));
-        expect_bulk_equals_loop(engine, units, "64 B units");
-    }
+    expect_matches_wave(GetParam(), [](const Cmac_engine& engine, std::span<const u8> /*key*/,
+                                       std::span<const Mac_request> reqs, std::span<u64> out) {
+        engine.positional_macs(reqs, out);
+    });
 }
 
 TEST_P(CmacBulkTest, PositionalMacsEqualLoopOnRaggedLengths)
 {
     // Ragged units drop out of later block positions, and the 28 B position
     // suffix decides where each unit's tail and padding fall.  200 units
-    // span four waves.
+    // span four waves.  A batch that is equal whole blocks but for one unit,
+    // or equal but not whole blocks, must leave the aesni gear for the wave.
     const Cmac_engine engine(random_bytes(16, 2), GetParam());
     Rng rng(0x7A66ED);
     for (const std::size_t n : {24u, 200u}) {
@@ -192,6 +238,69 @@ TEST_P(CmacBulkTest, PositionalMacsEqualLoopOnRaggedLengths)
         for (std::size_t i = 0; i < n; ++i)
             units.push_back(random_bytes(rng.next_u64() % 300, 200 + i));
         expect_bulk_equals_loop(engine, units, "ragged lengths");
+    }
+    for (const std::size_t odd_one : {5u, 16u}) {
+        std::vector<std::vector<u8>> units;
+        for (std::size_t i = 0; i < 17; ++i)
+            units.push_back(random_bytes(i == odd_one ? 80 : 64, 500 + i));
+        expect_bulk_equals_loop(engine, units, "one unit longer");
+        units[odd_one].resize(48);
+        expect_bulk_equals_loop(engine, units, "one unit shorter");
+    }
+    std::vector<std::vector<u8>> units;
+    for (std::size_t i = 0; i < 20; ++i) units.push_back(random_bytes(100, 700 + i));
+    expect_bulk_equals_loop(engine, units, "equal, not whole blocks");
+}
+
+TEST_P(CmacBulkTest, OneFlippedByteChangesOnlyItsUnitsTag)
+{
+    // 17 units: a full group of every gear plus a remainder of one.  The
+    // victim sits in a full group (5) and alone in the remainder (16); each
+    // flip, in any ciphertext block or any byte of any position field, must
+    // move its tag and no other.
+    const Cmac_engine engine(random_bytes(16, 8), GetParam());
+    std::vector<std::vector<u8>> units;
+    for (std::size_t i = 0; i < 17; ++i) units.push_back(random_bytes(64, 40 + i));
+    std::vector<Mac_request> reqs = requests_for(units);
+    std::vector<u64> clean(reqs.size()), got(reqs.size());
+    engine.positional_macs(reqs, clean);
+    for (const std::size_t victim : {5u, 16u}) {
+        const auto expect_only_victim_moved = [&](const std::string& what) {
+            engine.positional_macs(reqs, got);
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                if (i == victim)
+                    EXPECT_NE(got[i], clean[i]) << what << " of unit " << victim;
+                else
+                    EXPECT_EQ(got[i], clean[i])
+                        << what << " of unit " << victim << " moved unit " << i;
+            }
+        };
+        for (std::size_t byte = 0; byte < units[victim].size(); ++byte) {
+            units[victim][byte] ^= 0xFF;
+            expect_only_victim_moved("ciphertext byte " + std::to_string(byte));
+            units[victim][byte] ^= 0xFF;
+        }
+        Mac_context& ctx = reqs[victim].ctx;
+        const Mac_context saved = ctx;
+        for (int shift = 0; shift < 64; shift += 8) {
+            ctx.pa ^= 0xFFULL << shift;
+            expect_only_victim_moved("pa byte " + std::to_string(shift / 8));
+            ctx = saved;
+            ctx.vn ^= 0xFFULL << shift;
+            expect_only_victim_moved("vn byte " + std::to_string(shift / 8));
+            ctx = saved;
+        }
+        for (int shift = 0; shift < 32; shift += 8) {
+            ctx.layer_id ^= 0xFFu << shift;
+            expect_only_victim_moved("layer byte " + std::to_string(shift / 8));
+            ctx = saved;
+            ctx.fmap_idx ^= 0xFFu << shift;
+            expect_only_victim_moved("fmap byte " + std::to_string(shift / 8));
+            ctx = saved;
+            ctx.blk_idx ^= 0xFFu << shift;
+            expect_only_victim_moved("blk byte " + std::to_string(shift / 8));
+            ctx = saved;
+        }
     }
 }
 
@@ -230,6 +339,65 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, CmacBulkTest,
                          ::testing::ValuesIn(all_backend_kinds().begin(),
                                              all_backend_kinds().end()),
                          [](const auto& info) { return to_string(info.param); });
+
+// ---- the aesni gears, called directly ---------------------------------------
+//
+// Cmac_engine takes whichever gear CPUID picks; these reach both, so the SSE
+// gear is covered on VAES hosts too.
+
+/// RFC 4493 sec. 2.3: K2 = dbl(dbl(AES_K(0^128))).
+Block16 cmac_k2(const Aes& aes)
+{
+    const auto dbl = [](const Block16& b) {
+        Block16 out{};
+        for (std::size_t i = 0; i + 1 < out.size(); ++i)
+            out[i] = static_cast<u8>((b[i] << 1) | (b[i + 1] >> 7));
+        out[15] = static_cast<u8>((b[15] << 1) ^ ((b[0] & 0x80) != 0 ? 0x87 : 0));
+        return out;
+    };
+    return dbl(dbl(aes.encrypt_block(Block16{})));
+}
+
+class CmacBulkGearTest : public ::testing::Test {
+protected:
+    void SetUp() override
+    {
+        if (!backend_available(Aes_backend_kind::aesni))
+            GTEST_SKIP() << "aesni backend not available on this CPU/build";
+    }
+
+    using Gear = bool (*)(const Aes_key_schedule&, const Block16&, std::span<const Mac_request>,
+                          std::span<u64>);
+    static constexpr Gear k_gears[] = {&aesni_positional_cmacs, &aesni_positional_cmacs_sse};
+};
+
+TEST_F(CmacBulkGearTest, BothGearsMatchTheWave)
+{
+    ASSERT_EQ(cmac_k2(Aes(from_hex(k_rfc_key))), block_of("f7ddac306ae266ccf90bc11ee46d513b"));
+    for (const Gear gear : k_gears)
+        expect_matches_wave(Aes_backend_kind::aesni,
+                            [gear](const Cmac_engine& /*engine*/, std::span<const u8> key,
+                                   std::span<const Mac_request> reqs, std::span<u64> out) {
+                                const Aes aes(key, Aes_backend_kind::aesni);
+                                ASSERT_TRUE(gear(aes.schedule(), cmac_k2(aes), reqs, out));
+                            });
+}
+
+TEST_F(CmacBulkGearTest, DeclinesBatchesThatAreNotEqualWholeBlocks)
+{
+    const Aes aes(random_bytes(16, 9), Aes_backend_kind::aesni);
+    for (const std::vector<std::size_t>& lengths :
+         {std::vector<std::size_t>{64, 64, 80}, {64, 48, 64}, {100, 100}, {8}}) {
+        std::vector<std::vector<u8>> units;
+        for (const std::size_t len : lengths) units.push_back(random_bytes(len, len));
+        const std::vector<Mac_request> reqs = requests_for(units);
+        for (const Gear gear : k_gears) {
+            std::vector<u64> out(reqs.size(), 0x5EED);
+            EXPECT_FALSE(gear(aes.schedule(), cmac_k2(aes), reqs, out));
+            EXPECT_EQ(out, std::vector<u64>(reqs.size(), 0x5EED));
+        }
+    }
+}
 
 }  // namespace
 }  // namespace seda::crypto
