@@ -4,13 +4,13 @@
 // attack itself.
 //
 // Backend coverage: every AES bench -- the unit MACs included, since they
-// are AES-CMAC -- runs once per AES backend, and the SHA-256 bench (the KDF's
-// hash) once per SHA-256 backend, so the round-implementation share is
-// measured, not asserted.  bm_aes128_encrypt_blocks is the bulk cipher call
+// are AES-CMAC -- runs once per AES backend, so the round-implementation
+// share is measured, not asserted.  bm_sha256_64b times the KDF's one
+// portable SHA-256.  bm_aes128_encrypt_blocks is the bulk cipher call
 // behind Baes_engine::otps_many and the software backends' CMAC waves; it is
-// the roofline the aesni unit-MAC gear is held against.  The hardware kinds
-// (aesni, shani) are registered at runtime only when this host's CPUID has
-// the features -- a static BENCHMARK() would silently measure the software
+// the roofline the aesni unit-MAC gear is held against.  The hardware kind
+// (aesni) is registered at runtime only when this host's CPUID has the
+// features -- a static BENCHMARK() would silently measure the software
 // fallback under a hardware label on older CPUs -- which is why this file
 // has its own main() instead of BENCHMARK_MAIN().
 #include <benchmark/benchmark.h>
@@ -26,7 +26,6 @@
 #include "crypto/ctr.h"
 #include "crypto/mac.h"
 #include "crypto/sha256.h"
-#include "crypto/sha256_backend.h"
 
 using namespace seda;
 using namespace seda::crypto;
@@ -79,20 +78,18 @@ void bm_aes128_encrypt_blocks(benchmark::State& state)
 BENCHMARK(bm_aes128_encrypt_blocks<Aes_backend_kind::scalar>)->Arg(32);
 BENCHMARK(bm_aes128_encrypt_blocks<Aes_backend_kind::ttable>)->Arg(32);
 
-template <Sha256_backend_kind K>
 void bm_sha256_64b(benchmark::State& state)
 {
     const auto data = make_data(64);
     for (auto _ : state) {
-        Sha256 h(K);
+        Sha256 h;
         h.update(data);
         auto d = h.finish();
         benchmark::DoNotOptimize(d);
     }
     state.SetBytesProcessed(static_cast<i64>(state.iterations()) * 64);
 }
-BENCHMARK(bm_sha256_64b<Sha256_backend_kind::scalar>);
-BENCHMARK(bm_sha256_64b<Sha256_backend_kind::fast>);
+BENCHMARK(bm_sha256_64b);
 
 void bm_positional_block_mac(benchmark::State& state)
 {
@@ -300,9 +297,6 @@ int main(int argc, char** argv)
                                      bm_unit_macs_bulk<k>)
             ->Apply(unit_mac_shapes);
     }
-    if (sha256_backend_available(Sha256_backend_kind::shani))
-        benchmark::RegisterBenchmark("bm_sha256_64b<Sha256_backend_kind::shani>",
-                                     bm_sha256_64b<Sha256_backend_kind::shani>);
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
     benchmark::RunSpecifiedBenchmarks();

@@ -107,8 +107,9 @@ void Secure_memory::encrypt_slots(std::span<const Write_slot> slots,
     scratch.otps.resize(otp_reqs.size());
     baes.otps_many(otp_reqs, scratch.otps);
 
-    // Phase 1: B-AES every live slot into its cell (pad fan-out + XOR lanes
-    // only -- the AES work happened in phase 0), gathering the MAC inputs.
+    // Phase 1: B-AES every live slot into its cell (base ^ round key XORed
+    // in place -- the AES work happened in phase 0), gathering the MAC
+    // inputs.
     auto& reqs = scratch.reqs;
     reqs.clear();
     for (const Write_slot& slot : slots) {
@@ -117,7 +118,7 @@ void Secure_memory::encrypt_slots(std::span<const Write_slot> slots,
         const std::span<u8> cipher = slot.page->cipher(slot.unit);
         const crypto::Block16& base = scratch.otps[reqs.size()];  // this slot's OTP
         std::copy(w.plaintext.begin(), w.plaintext.end(), cipher.begin());
-        baes.crypt_with_base(cipher, w.addr, slot.vn, base, scratch.pads);
+        baes.crypt_with_base(cipher, w.addr, slot.vn, base, scratch.key_scratch);
         reqs.push_back(
             {cipher, context_for(w.addr, slot.vn, w.layer_id, w.fmap_idx, w.blk_idx)});
     }
@@ -187,7 +188,7 @@ void Secure_memory::read_units_with(std::span<const Unit_read> batch,
             continue;
         }
         std::copy(reqs[i].ciphertext.begin(), reqs[i].ciphertext.end(), r.out.begin());
-        baes.crypt_with_base(r.out, r.addr, vn, scratch.otps[i], scratch.pads);
+        baes.crypt_with_base(r.out, r.addr, vn, scratch.otps[i], scratch.key_scratch);
         out_status[i] = Verify_status::ok;
     }
     phases.lap(obs::Stage::verify);

@@ -141,13 +141,15 @@ public:
     [[nodiscard]] std::span<const Write_slot> stage_writes(std::span<const Unit_write> batch);
 
     /// Reusable scratch for the bulk crypto paths (encrypt_slots /
-    /// read_units_with): the B-AES pad buffer plus the staging vectors the
-    /// bulk AES and CMAC pipelines consume.  One instance belongs to exactly
-    /// one thread at a time; runtime::Secure_session keeps one per shard
-    /// and reuses it across batches, so the steady-state path allocates
-    /// nothing.
+    /// read_units_with): B-AES's lane-key buffer plus the staging vectors
+    /// the bulk AES and CMAC pipelines consume.  One instance belongs to
+    /// exactly one thread at a time; runtime::Secure_session keeps one per
+    /// shard and reuses it across batches, so the steady-state path
+    /// allocates nothing.
     struct Bulk_scratch {
-        std::vector<crypto::Block16> pads;     ///< B-AES pad fan-out
+        /// crypt_with_base's key_scratch: lane keys of units wider than
+        /// rounds+1 segments (narrower units XOR base ^ round key in place)
+        std::vector<crypto::Block16> key_scratch;
         std::vector<crypto::Baes_engine::Otp_request> otp_reqs;  ///< base-OTP inputs
         std::vector<crypto::Block16> otps;     ///< batched base OTPs (otps_many)
         std::vector<crypto::Mac_request> reqs; ///< bulk-MAC inputs

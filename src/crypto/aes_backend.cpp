@@ -1,10 +1,10 @@
 #include "crypto/aes_backend.h"
 
-#include <string_view>
-#include <utility>
+#include <cstdio>
+#include <cstdlib>
+#include <string>
 
 #include "common/bitutil.h"
-#include "common/envutil.h"
 
 namespace seda::crypto {
 namespace {
@@ -207,19 +207,54 @@ bool backend_available(Aes_backend_kind kind)
     return kind != Aes_backend_kind::aesni || aesni_backend() != nullptr;
 }
 
-Aes_backend_kind default_backend_kind()
+std::optional<Aes_backend_kind> parse_aes_backend(std::string_view name)
 {
-    // Best available tier unless the env var forces one; the once-per-process
-    // discipline (and the degrade-to-ttable path for a hardware kind forced
-    // on a CPU without it) lives in resolve_backend_env_once.
-    static constexpr std::pair<std::string_view, Aes_backend_kind> names[] = {
-        {"scalar", Aes_backend_kind::scalar},
-        {"ttable", Aes_backend_kind::ttable},
-        {"aesni", Aes_backend_kind::aesni}};
+    for (const Aes_backend_kind kind : all_backend_kinds())
+        if (name == to_string(kind)) return kind;
+    return std::nullopt;
+}
+
+namespace {
+
+/// SEDA_AES_BACKEND resolved against this CPU.  An unknown value warns --
+/// a typo would otherwise silently re-run the default backend and defeat a
+/// cross-validation sweep -- and falls back to the best available tier; a
+/// hardware kind forced on a CPU without it warns and degrades to ttable.
+Aes_backend_kind resolve_default_backend_kind()
+{
     const Aes_backend_kind preferred =
         aesni_backend() != nullptr ? Aes_backend_kind::aesni : Aes_backend_kind::ttable;
-    return resolve_backend_env_once<Aes_backend_kind>(
-        "SEDA_AES_BACKEND", names, preferred, backend_available, Aes_backend_kind::ttable);
+    const char* env = std::getenv("SEDA_AES_BACKEND");
+    if (env == nullptr) return preferred;
+    const std::optional<Aes_backend_kind> kind = parse_aes_backend(env);
+    if (!kind) {
+        std::string known;  // "scalar|ttable|aesni", for the warning
+        for (const Aes_backend_kind k : all_backend_kinds()) {
+            if (!known.empty()) known += '|';
+            known += to_string(k);
+        }
+        std::fprintf(stderr, "seda: SEDA_AES_BACKEND=\"%s\" is not a backend (%s); using %s\n",
+                     env, known.c_str(), to_string(preferred));
+        return preferred;
+    }
+    if (!backend_available(*kind)) {
+        std::fprintf(stderr, "seda: SEDA_AES_BACKEND=%s is not available on this CPU; using %s\n",
+                     to_string(*kind), to_string(Aes_backend_kind::ttable));
+        return Aes_backend_kind::ttable;
+    }
+    return *kind;
+}
+
+}  // namespace
+
+Aes_backend_kind default_backend_kind()
+{
+    // Resolved exactly once per process: flipping the variable mid-run would
+    // silently mix backends across cached instances, and concurrent first use
+    // from pool workers must neither race the resolution nor double-print a
+    // warning (the TSan CI job watches this).
+    static const Aes_backend_kind kind = resolve_default_backend_kind();
+    return kind;
 }
 
 const Aes_backend& backend_for(Aes_backend_kind kind)

@@ -28,6 +28,7 @@
 // is the cross-validation escape hatch for whole binaries.
 #pragma once
 
+#include <optional>
 #include <span>
 #include <string_view>
 
@@ -72,20 +73,28 @@ public:
 /// forcing came from the environment).
 [[nodiscard]] const Aes_backend& backend_for(Aes_backend_kind kind);
 
-/// What auto_select currently resolves to.
+/// What auto_select currently resolves to: SEDA_AES_BACKEND parsed by
+/// parse_aes_backend, read once per process.  An unset variable picks the
+/// best available tier; a value the parse rejects warns on stderr and does
+/// the same; an unavailable hardware kind warns and degrades to ttable.
 [[nodiscard]] Aes_backend_kind default_backend_kind();
+
+/// A SEDA_AES_BACKEND value as a concrete kind: exactly the to_string() of
+/// one of all_backend_kinds(), or nullopt ("auto", case or whitespace
+/// variants, and any other string).  Availability is not checked.
+[[nodiscard]] std::optional<Aes_backend_kind> parse_aes_backend(std::string_view name);
 
 /// The concrete backends, for cross-validation sweeps.  Includes hardware
 /// kinds unconditionally; pair with backend_available() to skip what the
 /// host can't run.
 [[nodiscard]] std::span<const Aes_backend_kind> all_backend_kinds();
 
-/// CPU crypto features relevant to backend selection, as CPUID reports them
-/// (independent of SEDA_DISABLE_HW_CRYPTO; all false on non-x86).
+/// CPU crypto features for backend selection and host reports, as CPUID
+/// reports them (independent of SEDA_DISABLE_HW_CRYPTO; all false on non-x86).
 struct Cpu_crypto_features {
     bool aes = false;     ///< AES-NI round instructions
     bool vaes = false;    ///< 256-bit vector AES (with avx2: the wide gear)
-    bool sha_ni = false;  ///< SHA extensions (sha256rnds2/msg1/msg2)
+    bool sha_ni = false;  ///< SHA extensions (reported only; SHA-256 is portable)
     bool avx2 = false;    ///< 32-byte integer vectors
 };
 [[nodiscard]] Cpu_crypto_features cpu_crypto_features();

@@ -52,7 +52,6 @@
 #include "core/secure_memory.h"
 #include "core/secure_npu.h"
 #include "core/seda_scheme.h"
-#include "core/tiling_analysis.h"
 #include "crypto/attacks.h"
 #include "crypto/baes.h"
 #include "crypto/engine_model.h"

@@ -6,7 +6,9 @@
 // an AES-NI Xeon and green on a feature-less VM.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -182,6 +184,29 @@ TEST(AesBackendRegistry, NamesAndResolution)
         // A hardware kind forced on a CPU without it degrades to ttable.
         EXPECT_EQ(&backend_for(Aes_backend_kind::aesni), &ttable_backend());
     }
+}
+
+TEST(AesBackendRegistry, ParsesExactBackendNames)
+{
+    // SEDA_AES_BACKEND values: a rejected one keeps today's behaviour (a
+    // warning, then the auto-selected default).
+    const struct {
+        std::string_view text;
+        std::optional<Aes_backend_kind> kind;
+    } cases[] = {
+        {"scalar", Aes_backend_kind::scalar},
+        {"ttable", Aes_backend_kind::ttable},
+        {"aesni", Aes_backend_kind::aesni},  // parsed even where the CPU lacks it
+        {"", std::nullopt},
+        {"auto", std::nullopt},  // auto_select is not a concrete backend
+        {"AESNI", std::nullopt},
+        {" aesni", std::nullopt},
+        {"aesni ", std::nullopt},
+        {"fast", std::nullopt},  // retired SHA-256 backend names
+        {"shani", std::nullopt},
+    };
+    for (const auto& c : cases)
+        EXPECT_EQ(parse_aes_backend(c.text), c.kind) << "'" << c.text << "'";
 }
 
 TEST(AesBackendRegistry, AesReportsItsBackend)

@@ -116,8 +116,8 @@ TEST(Baes, OtpsManyMatchesScalarOtpLoop)
 TEST(Baes, CryptWithBaseMatchesCrypt)
 {
     // The batch path -- every base OTP from one otps_many call, then the
-    // fan-out per unit through one reused pad scratch -- must equal crypt()
-    // unit by unit.  64 B = the protected-unit case; 512 B exercises the
+    // XOR lanes per unit through one reused key scratch -- must equal
+    // crypt() unit by unit.  64 B = the protected-unit case; 512 B exercises the
     // derived banks, and the 100 B unit after it shrinks the scratch again.
     const Baes_engine baes(test_key());
     Rng rng(0xC0DE);
@@ -127,13 +127,13 @@ TEST(Baes, CryptWithBaseMatchesCrypt)
     std::vector<Block16> bases(reqs.size());
     baes.otps_many(reqs, bases);
 
-    std::vector<Block16> pads;
+    std::vector<Block16> key_scratch;
     for (std::size_t i = 0; i < sizes.size(); ++i) {
         std::vector<u8> via_crypt(sizes[i]);
         for (auto& b : via_crypt) b = rng.next_byte();
         std::vector<u8> via_base = via_crypt;
         baes.crypt(via_crypt, reqs[i].pa, reqs[i].vn);
-        baes.crypt_with_base(via_base, reqs[i].pa, reqs[i].vn, bases[i], pads);
+        baes.crypt_with_base(via_base, reqs[i].pa, reqs[i].vn, bases[i], key_scratch);
         EXPECT_EQ(via_base, via_crypt) << "unit " << i << " of " << sizes[i] << " B";
     }
 }

@@ -70,6 +70,31 @@ INSTANTIATE_TEST_SUITE_P(
                     "65204b6579202d2048617368204b6579204669727374",
                     "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"}));
 
+TEST(Hmac, KeyLengthBoundaryKnownAnswers)
+{
+    // A key of exactly one SHA-256 block is used as is; one byte more and it
+    // is hashed first.  The RFC 4231 keys above (20, 4, 20 and 131 bytes)
+    // never sit on that boundary.  Key byte i is (13 * i + 5) mod 256; the
+    // MACs were computed once with Python's hmac + hashlib, an
+    // implementation independent of this one:
+    //   hmac.new(bytes((13 * i + 5) & 0xFF for i in range(n)),
+    //            b"key-length boundary", hashlib.sha256)
+    const struct {
+        std::size_t key_bytes;
+        const char* mac_hex;
+    } answers[] = {
+        {64, "c2a88bb2d09f363e9130dd008773f5a46e13cc75039dac55270a14d2cfd857ff"},
+        {65, "3944ca7df0f61d5e860a47d6e1ac944b339bdc3c6147d4a23407a4e76b0a482e"},
+    };
+    const std::string message = "key-length boundary";
+    const std::vector<u8> data(message.begin(), message.end());
+    for (const auto& a : answers) {
+        std::vector<u8> key(a.key_bytes);
+        for (std::size_t i = 0; i < key.size(); ++i) key[i] = static_cast<u8>(13 * i + 5);
+        EXPECT_EQ(to_hex(hmac_sha256(key, data)), a.mac_hex) << a.key_bytes << "-byte key";
+    }
+}
+
 TEST(Mac64, NaiveAndPositionalDiffer)
 {
     const std::vector<u8> key(16, 0x10);

@@ -9,11 +9,10 @@
 // one per hardware thread); output is byte-identical at every worker count
 // (for loadgen: the deterministic stats, which is all --json prints --
 // timing goes to stderr).  --json emits machine-readable JSON so bench
-// trajectories can be captured as BENCH_*.json files.  The
-// SEDA_AES_BACKEND / SEDA_SHA_BACKEND environment variables pin the
-// process-wide crypto backends (docs/BACKENDS.md); simulator output is
-// identical under every backend, which is exactly what makes them a
-// cross-validation knob.
+// trajectories can be captured as BENCH_*.json files.  The SEDA_AES_BACKEND
+// environment variable pins the process-wide AES backend (docs/BACKENDS.md);
+// simulator output is identical under every backend, which is exactly what
+// makes it a cross-validation knob.
 #include <charconv>
 #include <chrono>
 #include <cstdio>
@@ -22,13 +21,11 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "crypto/aes_backend.h"
-#include "crypto/sha256_backend.h"
 #include "obs/http_exporter.h"
 #include "obs/slo.h"
 #include "obs/snapshot.h"
@@ -737,61 +734,30 @@ int cmd_attack(const Options& o)
     return r.clean() ? 0 : 1;
 }
 
-/// One row of the `backends` report: a backend kind with its availability
-/// and whether the process-wide default resolved to it.
-struct Backend_row {
-    std::string name;
-    bool available;
-    bool selected;
-};
-
-template <typename Kind>
-std::vector<Backend_row> backend_rows(std::span<const Kind> kinds, bool (*available)(Kind),
-                                      Kind selected)
-{
-    std::vector<Backend_row> rows;
-    for (const Kind kind : kinds)
-        rows.push_back({std::string(to_string(kind)), available(kind), kind == selected});
-    return rows;
-}
-
 int cmd_backends(const Options& o)
 {
     const auto features = crypto::cpu_crypto_features();
     const char* aes_env = std::getenv("SEDA_AES_BACKEND");
-    const char* sha_env = std::getenv("SEDA_SHA_BACKEND");
-    // Resolving the defaults here also emits the startup warning (once) if
-    // an env override names an unknown or unavailable backend.
-    const auto aes_rows = backend_rows<crypto::Aes_backend_kind>(
-        crypto::all_backend_kinds(), crypto::backend_available,
-        crypto::default_backend_kind());
-    const auto sha_rows = backend_rows<crypto::Sha256_backend_kind>(
-        crypto::all_sha256_backend_kinds(), crypto::sha256_backend_available,
-        crypto::default_sha256_backend_kind());
+    // Resolving the default here also emits the startup warning (once) if
+    // the env override names an unknown or unavailable backend.
+    const crypto::Aes_backend_kind selected = crypto::default_backend_kind();
+    const auto kinds = crypto::all_backend_kinds();
 
     if (o.json) {
-        const auto row_list = [](const std::vector<Backend_row>& rows) {
-            std::string out;
-            for (std::size_t i = 0; i < rows.size(); ++i)
-                out += std::string(i ? ", " : "") + "{\"name\": " + json_string(rows[i].name) +
-                       ", \"available\": " + (rows[i].available ? "true" : "false") +
-                       ", \"selected\": " + (rows[i].selected ? "true" : "false") + "}";
-            return out;
-        };
+        std::string rows;
+        for (const auto kind : kinds)
+            rows += std::string(rows.empty() ? "" : ", ") +
+                    "{\"name\": " + json_string(to_string(kind)) +
+                    ", \"available\": " + (crypto::backend_available(kind) ? "true" : "false") +
+                    ", \"selected\": " + (kind == selected ? "true" : "false") + "}";
         std::cout << "{\n  \"cpu\": {\"aes\": " << (features.aes ? "true" : "false")
                   << ", \"vaes\": " << (features.vaes ? "true" : "false")
                   << ", \"sha_ni\": " << (features.sha_ni ? "true" : "false")
                   << ", \"avx2\": " << (features.avx2 ? "true" : "false") << "},\n"
                   << "  \"env\": {\"SEDA_AES_BACKEND\": "
-                  << (aes_env ? json_string(aes_env) : "null")
-                  << ", \"SEDA_SHA_BACKEND\": " << (sha_env ? json_string(sha_env) : "null")
-                  << "},\n"
-                  << "  \"aes\": {\"selected\": "
-                  << json_string(to_string(crypto::default_backend_kind()))
-                  << ", \"backends\": [" << row_list(aes_rows) << "]},\n"
-                  << "  \"sha256\": {\"selected\": "
-                  << json_string(to_string(crypto::default_sha256_backend_kind()))
-                  << ", \"backends\": [" << row_list(sha_rows) << "]}\n"
+                  << (aes_env ? json_string(aes_env) : "null") << "},\n"
+                  << "  \"aes\": {\"selected\": " << json_string(to_string(selected))
+                  << ", \"backends\": [" << rows << "]}\n"
                   << "}\n";
         return 0;
     }
@@ -800,13 +766,11 @@ int cmd_backends(const Options& o)
     std::cout << "cpu features: aes=" << flag(features.aes) << " vaes=" << flag(features.vaes)
               << " sha_ni=" << flag(features.sha_ni) << " avx2=" << flag(features.avx2)
               << "\n"
-              << "env overrides: SEDA_AES_BACKEND=" << (aes_env ? aes_env : "(unset)")
-              << " SEDA_SHA_BACKEND=" << (sha_env ? sha_env : "(unset)") << "\n";
+              << "env overrides: SEDA_AES_BACKEND=" << (aes_env ? aes_env : "(unset)") << "\n";
     Ascii_table t({"interface", "backend", "available", "selected"});
-    for (const auto& r : aes_rows)
-        t.add_row({"aes", r.name, flag(r.available), r.selected ? "*" : ""});
-    for (const auto& r : sha_rows)
-        t.add_row({"sha256", r.name, flag(r.available), r.selected ? "*" : ""});
+    for (const auto kind : kinds)
+        t.add_row({"aes", to_string(kind), flag(crypto::backend_available(kind)),
+                   kind == selected ? "*" : ""});
     t.print(std::cout);
     return 0;
 }
@@ -890,7 +854,6 @@ int usage(std::ostream& os)
           "  SEDA_OBS_LISTEN=PORT      arm the telemetry endpoint like --listen PORT\n"
           "  (observability output never reaches stdout --json; docs/OBSERVABILITY.md)\n"
           "  SEDA_AES_BACKEND=scalar|ttable|aesni   process-wide AES round impl\n"
-          "  SEDA_SHA_BACKEND=scalar|fast|shani     process-wide SHA-256 compression\n"
           "  (read once at startup; hardware kinds need CPU support -- run\n"
           "  `seda_cli backends` to see what this host resolves; docs/BACKENDS.md)\n";
     return os.rdbuf() == std::cout.rdbuf() ? 0 : 2;
