@@ -3,8 +3,8 @@
 // bm_serve_batched can be decomposed.
 //
 // Run once normally and once with SEDA_OBS=0 to see the disabled-path cost
-// (one predictable branch per site); a -DSEDA_DISABLE_OBS=ON build measures
-// the compiled-out floor.  docs/BENCHMARKS.md records the numbers.
+// (one relaxed load and a predictable branch per site).
+// docs/BENCHMARKS.md records the numbers.
 #include <benchmark/benchmark.h>
 
 #include "obs/histogram.h"

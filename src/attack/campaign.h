@@ -50,7 +50,6 @@ struct Campaign_config {
     std::string model = "lenet";
     std::size_t inferences = 1;
     bool control_run = true;   ///< rerun without injection, diff untouched rows
-    std::size_t max_wait_us = 0;
 };
 
 /// Plan-derived expectations vs. the server's observed failure records.

@@ -65,7 +65,6 @@ Infer_result run_infer(const accel::Model_desc& model, const accel::Npu_config& 
         serve::Server_config server_cfg;
         server_cfg.tenants = cfg.tenants;
         server_cfg.workers = cfg.jobs;
-        server_cfg.max_wait_us = cfg.max_wait_us;
         server_cfg.mem = mem;
         serve::Server server(serve::demo_master_key(cfg.seed, 0x1FE2),
                              serve::demo_master_key(cfg.seed, 0x3AC5), server_cfg);

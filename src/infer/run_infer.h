@@ -41,7 +41,6 @@ struct Infer_config {
     std::size_t jobs = 1;           ///< crypto workers (0 = hardware)
     Replay_path path = Replay_path::serve;
     u64 seed = 0x5EDA;
-    std::size_t max_wait_us = 0;    ///< serve-path coalescing linger (Server_config)
 };
 
 struct Infer_result {

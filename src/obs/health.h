@@ -3,8 +3,7 @@
 // serve::Server reports its transitions here (start/drain/stop); the HTTP
 // exporter reads the folded state.  Deliberately NOT gated on
 // obs::enabled(): health is an operational liveness signal, not telemetry,
-// so /healthz keeps answering under SEDA_OBS=0 and SEDA_DISABLE_OBS.  The
-// counters are process-wide like every registry metric -- multiple live
+// so /healthz keeps answering under SEDA_OBS=0.  The counters are process-wide like every registry metric -- multiple live
 // Servers fold into one state (serving while any serves, draining while
 // any drains).
 #pragma once

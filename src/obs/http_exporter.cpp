@@ -231,16 +231,24 @@ void Http_exporter::handle_connection(int fd)
     send_all(fd, response_);
 }
 
+std::optional<u16> parse_listen_port(std::string_view text)
+{
+    unsigned port = 0;
+    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), port);
+    if (ec != std::errc() || end != text.data() + text.size() || port < 1 || port > 65535)
+        return std::nullopt;
+    return static_cast<u16>(port);
+}
+
 u16 listen_port_from_env()
 {
     const char* env = std::getenv("SEDA_OBS_LISTEN");
     if (env == nullptr || *env == '\0') return 0;
-    unsigned port = 0;
-    const auto [end, ec] = std::from_chars(env, env + std::strlen(env), port);
-    require(ec == std::errc() && *end == '\0' && port >= 1 && port <= 65535,
+    const auto port = parse_listen_port(env);
+    require(port.has_value(),
             std::string("obs: SEDA_OBS_LISTEN expects a port (1-65535), got '") + env +
                 "'");
-    return static_cast<u16>(port);
+    return *port;
 }
 
 }  // namespace seda::obs

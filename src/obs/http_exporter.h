@@ -21,12 +21,14 @@
 // Determinism contract: everything served here is timing-bound telemetry
 // flowing over a socket -- never stdout -- so the byte-identical --json
 // contracts are untouched by an enabled exporter (CI proves it).  The
-// exporter itself works even under SEDA_OBS=0 / SEDA_DISABLE_OBS (scrapes
-// are just empty; /healthz still answers), matching the health plane's
-// "liveness is not telemetry" rule.
+// exporter itself works even under SEDA_OBS=0 (scrapes are just empty;
+// /healthz still answers), matching the health plane's "liveness is not
+// telemetry" rule.
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/types.h"
 
@@ -82,8 +84,13 @@ private:
     Impl* impl_;
 };
 
+/// A SEDA_OBS_LISTEN value as a port: the whole string as a decimal
+/// integer in 1-65535, or nullopt (empty, signed, spaces, hex, trailing
+/// junk, 0, or out of range).
+[[nodiscard]] std::optional<u16> parse_listen_port(std::string_view text);
+
 /// The port requested by the SEDA_OBS_LISTEN environment variable, or 0
-/// when unset/empty.  Malformed values throw Seda_error.
+/// when unset/empty.  A value parse_listen_port rejects throws Seda_error.
 [[nodiscard]] u16 listen_port_from_env();
 
 }  // namespace seda::obs

@@ -133,9 +133,6 @@ Metrics_registry& Metrics_registry::instance()
 
 Metrics_registry::Metrics_registry() : impl_(new Impl) {}
 
-#ifdef SEDA_DISABLE_OBS
-bool enabled() { return false; }
-#else
 bool enabled()
 {
     static const bool on = [] {
@@ -152,7 +149,6 @@ bool enabled()
     }();
     return on;
 }
-#endif
 
 #if defined(__x86_64__) || defined(_M_X64)
 u64 now_ticks() { return __builtin_ia32_rdtsc(); }
@@ -189,45 +185,28 @@ double ticks_to_us(u64 dt)
 
 void Counter::add(u64 delta) const
 {
-#ifdef SEDA_DISABLE_OBS
-    (void)delta;
-#else
     if (id_ == k_no_metric) return;
     cell_for<Counter_cell>(id_)->value.fetch_add(delta, std::memory_order_relaxed);
-#endif
 }
 
 void Gauge::add(i64 delta) const
 {
-#ifdef SEDA_DISABLE_OBS
-    (void)delta;
-#else
     if (id_ == k_no_metric) return;
     cell_for<Gauge_cell>(id_)->value.fetch_add(delta, std::memory_order_relaxed);
-#endif
 }
 
 void Histogram::record(double v) const
 {
-#ifdef SEDA_DISABLE_OBS
-    (void)v;
-#else
     if (id_ == k_no_metric) return;
     cell_for<Hist_cell>(id_)->record(v);
-#endif
 }
 
 void Histogram::record(double v, u64 trace_id) const
 {
-#ifdef SEDA_DISABLE_OBS
-    (void)v;
-    (void)trace_id;
-#else
     if (id_ == k_no_metric) return;
     Hist_cell* cell = cell_for<Hist_cell>(id_);
     cell->record(v);
     if (trace_id != 0) cell->offer_exemplar(v, trace_id);
-#endif
 }
 
 namespace {

@@ -12,8 +12,8 @@
 // Determinism rules (load-bearing, see docs/OBSERVABILITY.md): everything
 // in here is timing-bound.  Nothing recorded through this registry may feed
 // the deterministic stdout --json contracts -- exports go to stderr or to
-// explicit files, and CI byte-diffs the JSON with observability on, off
-// (SEDA_OBS=0) and compiled out (SEDA_DISABLE_OBS).
+// explicit files, and the --json goldens hold the JSON byte-identical with
+// observability on, off (SEDA_OBS=0) and timing every span (SEDA_OBS_SAMPLE=1).
 #pragma once
 
 #include <string>
@@ -25,14 +25,8 @@
 
 namespace seda::obs {
 
-#ifdef SEDA_DISABLE_OBS
-inline constexpr bool k_compiled_in = false;
-#else
-inline constexpr bool k_compiled_in = true;
-#endif
-
-/// Whether the runtime hot paths are live: compiled in AND not switched off
-/// by SEDA_OBS=0|off|false (resolved once per process, like the crypto
+/// Whether the runtime hot paths are live: not switched off by
+/// SEDA_OBS=0|off|false (resolved once per process, like the crypto
 /// backends' env overrides).  When false every handle is unarmed and every
 /// record is a no-op.
 [[nodiscard]] bool enabled();
@@ -43,10 +37,17 @@ inline constexpr bool k_compiled_in = true;
 [[nodiscard]] u64 now_ticks();
 
 /// Microseconds spanned by `dt` raw ticks.  The tick rate is calibrated
-/// against steady_clock once per process (~1 ms spin on first use; both
-/// enabled() and Trace_recorder::start() pre-trigger it so no measured span
-/// absorbs the stall).
+/// against steady_clock once per process (~1 ms spin on first use;
+/// enabled(), Trace_recorder::start() and serve::Server's constructor
+/// pre-trigger it so no measured span or request absorbs the stall).
 [[nodiscard]] double ticks_to_us(u64 dt);
+
+/// Microseconds from tick `from` to tick `to`, or 0 when `to` is the
+/// earlier one: TSC reads on two threads need not be ordered.
+[[nodiscard]] inline double ticks_between_us(u64 from, u64 to)
+{
+    return to > from ? ticks_to_us(to - from) : 0.0;
+}
 
 inline constexpr u32 k_no_metric = 0xFFFFFFFFu;
 

@@ -1,7 +1,5 @@
 #include "obs/request_trace.h"
 
-#ifndef SEDA_DISABLE_OBS
-
 #include <atomic>
 
 #include "obs/trace.h"
@@ -27,7 +25,6 @@ void request_begin_slow(Trace_context& ctx)
     // four phase records per request are as costly as a timed span).
     if ((arm & k_arm_trace) == 0 && ++t_req_tick % stage_sample_stride() != 0) return;
     ctx.trace_id = g_next_trace_id.fetch_add(1, std::memory_order_relaxed);
-    ctx.t_submit = now_ticks();
 }
 
 void request_finish_slow(Trace_context& ctx)
@@ -63,5 +60,3 @@ void request_finish_slow(Trace_context& ctx)
 }
 
 }  // namespace seda::obs::detail
-
-#endif  // SEDA_DISABLE_OBS

@@ -1,7 +1,10 @@
 // Request-scoped tracing: a tiny Trace_context rides on serve::Request and
 // is stamped as the request crosses the pipeline (submit -> scheduler
-// pickup -> session flush -> completion).  At completion the stamps resolve
-// into the request's critical-path decomposition:
+// pickup -> session flush -> completion).  The submit stamp is taken on
+// every request -- it is the serve path's one per-request clock read, and
+// the start of Serve_stats latency and the admit wait -- while the later
+// stamps are kept only for traced requests.  At completion a traced
+// request's stamps resolve into its critical-path decomposition:
 //
 //   req.queue     submit -> pickup        (admission queue wait)
 //   req.window    pickup -> flush begin   (coalescing window share)
@@ -15,10 +18,11 @@
 //
 // Arming matches Stage_span: with a recording active every request is
 // traced; with only metrics live, 1-in-N requests are sampled
-// (SEDA_OBS_SAMPLE); fully disarmed, submit costs one relaxed load and a
-// branch and every other site tests a member against zero.  A request the
-// scheduler retries alone after a rejected bulk call is stamped by that
-// retry's flush, like any other.  Nothing here touches stdout.
+// (SEDA_OBS_SAMPLE); fully disarmed, submit costs its TSC read plus one
+// relaxed load and a branch, and every other site tests a member against
+// zero.  A request the scheduler retries alone after a rejected bulk call
+// is stamped by that retry's flush, like any other.  Nothing here touches
+// stdout.
 #pragma once
 
 #include "common/types.h"
@@ -27,32 +31,25 @@
 namespace seda::obs {
 
 /// Per-request trace state, value-carried on serve::Request.  trace_id == 0
-/// means "not sampled": every stamp short-circuits on it.
+/// means "not sampled": every stamp after submit short-circuits on it.
 struct Trace_context {
     u64 trace_id = 0;
-    u64 t_submit = 0;
+    u64 t_submit = 0;  ///< now_ticks() at submit, on every request; 0 = never submitted
     u64 t_pickup = 0;
     u64 t_flush0 = 0;  ///< session flush began
     u64 t_flush1 = 0;  ///< session flush ended
 };
-
-#ifdef SEDA_DISABLE_OBS
-
-inline void trace_request_begin(Trace_context&) {}
-inline void trace_request_pickup(Trace_context&, u64) {}
-inline void trace_request_flush(Trace_context&, u64, u64) {}
-inline void trace_request_finish(Trace_context&) {}
-
-#else
 
 namespace detail {
 void request_begin_slow(Trace_context& ctx);
 void request_finish_slow(Trace_context& ctx);
 }  // namespace detail
 
-/// Samples and stamps t_submit (Server::submit, client thread).
+/// Stamps t_submit and samples the request for tracing (Server::submit,
+/// client thread).
 inline void trace_request_begin(Trace_context& ctx)
 {
+    ctx.t_submit = now_ticks();
     if (detail::g_span_arm.load(std::memory_order_relaxed) != 0)
         detail::request_begin_slow(ctx);
 }
@@ -80,7 +77,5 @@ inline void trace_request_finish(Trace_context& ctx)
 {
     if (ctx.trace_id != 0) detail::request_finish_slow(ctx);
 }
-
-#endif  // SEDA_DISABLE_OBS
 
 }  // namespace seda::obs

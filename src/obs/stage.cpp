@@ -66,8 +66,6 @@ unsigned resolve_sample_stride()
     return k_default;
 }
 
-#ifndef SEDA_DISABLE_OBS
-
 thread_local unsigned t_sample_tick = 0;
 
 bool metric_sample()
@@ -75,13 +73,11 @@ bool metric_sample()
     return ++t_sample_tick % stage_sample_stride() == 0;
 }
 
-#endif  // SEDA_DISABLE_OBS
-
 }  // namespace
 
-#ifndef SEDA_DISABLE_OBS
-
 namespace detail {
+
+std::atomic<u8> g_span_arm{k_arm_unresolved};
 
 /// Reads the arming word, resolving it on first use (the trace bit is kept
 /// current by the recorder via fetch_or/fetch_and; resolution recomputes
@@ -99,8 +95,6 @@ u8 arm_state()
 }
 
 }  // namespace detail
-
-#endif  // SEDA_DISABLE_OBS
 
 unsigned stage_sample_stride()
 {
@@ -140,12 +134,6 @@ Histogram stage_histogram(Stage s)
     return handles[static_cast<std::size_t>(s)];
 }
 
-#ifndef SEDA_DISABLE_OBS
-
-namespace detail {
-std::atomic<u8> g_span_arm{k_arm_unresolved};
-}  // namespace detail
-
 void Stage_span::arm(std::string_view detail)
 {
     const u8 a = seda::obs::detail::arm_state();
@@ -184,7 +172,5 @@ void Phase_timer::record_lap(Stage s)
     if (flags_ & 2) Trace_recorder::emit(s, {}, last_, t);
     last_ = t;
 }
-
-#endif  // SEDA_DISABLE_OBS
 
 }  // namespace seda::obs

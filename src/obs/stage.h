@@ -5,7 +5,7 @@
 // scope; a Phase_timer times consecutive phases of one function sharing the
 // boundary clock reads.  Both check their arming flags before touching the
 // clock, so with observability disabled (SEDA_OBS=0) a span site costs one
-// predictable branch, and with SEDA_DISABLE_OBS it compiles to nothing.
+// relaxed load and a predictable branch.
 //
 // Metric recording on hot-path stages (per-flush or finer) samples every
 // Nth span construction per thread (stage_sample_stride, SEDA_OBS_SAMPLE,
@@ -80,23 +80,6 @@ inline constexpr std::size_t k_stage_count = static_cast<std::size_t>(Stage::cou
 /// for an unsigned).
 [[nodiscard]] std::optional<unsigned> parse_sample_stride(std::string_view text);
 
-#ifdef SEDA_DISABLE_OBS
-
-class Stage_span {
-public:
-    explicit Stage_span(Stage) {}
-    Stage_span(Stage, std::string_view) {}
-    Stage_span(const Stage_span&) = delete;
-    Stage_span& operator=(const Stage_span&) = delete;
-};
-
-class Phase_timer {
-public:
-    void lap(Stage) {}
-};
-
-#else
-
 namespace detail {
 
 /// Process-wide span arming word: bit 0 = metrics runtime-enabled, bit 1 =
@@ -163,7 +146,5 @@ private:
     u64 last_ = 0;
     u8 flags_ = 0;
 };
-
-#endif  // SEDA_DISABLE_OBS
 
 }  // namespace seda::obs

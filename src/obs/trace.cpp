@@ -1,19 +1,16 @@
 #include "obs/trace.h"
 
-#include <ostream>
-
-#ifndef SEDA_DISABLE_OBS
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <ostream>
 #include <vector>
 
 #include "common/table.h"
 #include "core/verify_status.h"
-#endif
 
 namespace seda::obs {
 
@@ -30,32 +27,6 @@ const char* to_string(Flight_kind k)
     }
     return "?";
 }
-
-#ifdef SEDA_DISABLE_OBS
-
-void Trace_recorder::start() {}
-bool Trace_recorder::active() { return false; }
-void Trace_recorder::write_json(std::ostream& os)
-{
-    os << "{\"traceEvents\": []}\n";
-}
-u64 Trace_recorder::dropped() { return 0; }
-void Trace_recorder::emit(Stage, std::string_view, u64, u64) {}
-void Trace_recorder::emit_flow(char, u64, u64) {}
-
-void Flight_recorder::record(Flight_kind, u32, u64, u64, u64) {}
-void Flight_recorder::detect(Flight_kind, u32, u64, u32, u32, u32, u8) {}
-void Flight_recorder::arm_auto_dump(std::string) {}
-u64 Flight_recorder::detections() { return 0; }
-u64 Flight_recorder::dump(std::ostream& os)
-{
-    os << "{\"events\": 0, \"detections\": 0, \"overwritten\": 0, \"flight\": []}\n";
-    return 0;
-}
-bool Flight_recorder::dump_flight(const std::string&) { return false; }
-void Flight_recorder::reset() {}
-
-#else
 
 namespace {
 
@@ -327,7 +298,5 @@ void Flight_recorder::reset()
     for_each_log([](Thread_log& log) { log.appended = 0; });
     g_detections.store(0, std::memory_order_relaxed);
 }
-
-#endif  // SEDA_DISABLE_OBS
 
 }  // namespace seda::obs

@@ -27,8 +27,7 @@
 //   merged across threads and ordered by (ticks, thread, seq).  Gated on
 //   obs::enabled().
 //
-// With SEDA_DISABLE_OBS everything compiles to a no-op.  Output goes only
-// to named files / streams, never stdout.
+// Output goes only to named files / streams, never stdout.
 #pragma once
 
 #include <iosfwd>
@@ -45,8 +44,7 @@ public:
     /// Events per thread before overflow counting kicks in.
     static constexpr std::size_t k_max_events_per_thread = std::size_t{1} << 16;
 
-    /// Arms capture process-wide (idempotent).  With SEDA_DISABLE_OBS this
-    /// is a no-op and active() stays false.
+    /// Arms capture process-wide (idempotent).
     static void start();
 
     [[nodiscard]] static bool active();

@@ -77,19 +77,13 @@ std::size_t Admission_queue::try_pop(std::vector<Request>& out, std::size_t max)
     return take;
 }
 
-bool Admission_queue::closed() const
-{
-    return (tail_.load(std::memory_order_acquire) & k_closed) != 0;
-}
-
 bool Admission_queue::drained() const
 {
     const u64 tail = tail_.load(std::memory_order_acquire);
     return (tail & k_closed) != 0 && (tail & ~k_closed) == head_.load(std::memory_order_acquire);
 }
 
-void Admission_queue::wake(const std::atomic<u32>& sleepers, std::condition_variable& cv,
-                           bool locked)
+void Admission_queue::wake(const std::atomic<u32>& sleepers, std::condition_variable& cv)
 {
     // The caller's cell store and this load are seq_cst, like a sleeper's
     // count and its reads of the cells: either this load sees the sleeper,
@@ -97,7 +91,7 @@ void Admission_queue::wake(const std::atomic<u32>& sleepers, std::condition_vari
     if (sleepers.load() == 0) return;
     // A sleeper counts itself and tests the ring under mutex_, so taking it
     // here means the sleeper is either already waiting or will see the change.
-    if (!locked) {
+    {
         std::lock_guard lock(mutex_);
     }
     cv.notify_all();
@@ -112,12 +106,11 @@ bool Admission_queue::push(Request& r)
         space_.wait(lock, [&] { return (claim = try_push(r)) != Claim::full; });
     }
     if (claim == Claim::closed) return false;
-    wake(sleeping_consumers_, ready_, false);
+    wake(sleeping_consumers_, ready_);
     return true;
 }
 
-std::size_t Admission_queue::pop_batch(std::vector<Request>& out, std::size_t max,
-                                       std::chrono::microseconds max_wait)
+std::size_t Admission_queue::pop_batch(std::vector<Request>& out, std::size_t max)
 {
     require(max >= 1, "Admission_queue::pop_batch: max must be >= 1");
     std::size_t take = try_pop(out, max);
@@ -126,25 +119,7 @@ std::size_t Admission_queue::pop_batch(std::vector<Request>& out, std::size_t ma
         const Sleeper sleeping(sleeping_consumers_);
         ready_.wait(lock, [&] { return (take = try_pop(out, max)) > 0 || drained(); });
     }
-    if (take > 0 && take < max && max_wait.count() > 0 && !closed()) {
-        // Wake producers after EVERY pop: each one frees capacity, and a
-        // producer blocked on a full ring is exactly who could fill this
-        // window.
-        wake(sleeping_producers_, space_, false);
-        const auto deadline = std::chrono::steady_clock::now() + max_wait;
-        std::unique_lock lock(mutex_);
-        const Sleeper sleeping(sleeping_consumers_);
-        while (take < max && !closed()) {
-            std::size_t got = 0;
-            if (!ready_.wait_until(lock, deadline, [&] {
-                    return (got = try_pop(out, max - take)) > 0 || closed();
-                }))
-                break;  // window expired
-            take += got;
-            if (got > 0) wake(sleeping_producers_, space_, true);
-        }
-    }
-    if (take > 0) wake(sleeping_producers_, space_, false);  // a burst may free several
+    if (take > 0) wake(sleeping_producers_, space_);  // a burst may free several
     return take;
 }
 

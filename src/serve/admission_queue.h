@@ -9,11 +9,7 @@
 // pop_batch() is the consumer side of batching: it blocks for the FIRST
 // request, then drains up to `max`, so a busy period hands the scheduler a
 // full coalescing window while an idle server still dispatches single
-// requests immediately (no artificial latency timer).  An optional
-// `max_wait` bounds a latency-for-batching trade: the consumer lingers up
-// to that long for the window to fill, but a lone request is never held
-// hostage past the deadline -- and close() cuts the window short
-// immediately.
+// requests immediately (no latency timer).
 //
 // The queue is a ring of `capacity` cells with a sequence number each
 // (Vyukov's bounded MPMC queue).  Position p lives in cell p % capacity,
@@ -36,7 +32,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <memory>
@@ -58,14 +53,9 @@ public:
 
     /// Blocks until at least one request is available (or the queue is
     /// closed and drained), then appends up to `max` requests to `out` in
-    /// FIFO order.  With a nonzero `max_wait`, a partial window lingers up
-    /// to that long for more arrivals (draining them as they come) before
-    /// returning -- bounded extra latency bought for fuller coalescing
-    /// windows; zero keeps today's drain-and-go behaviour.  close() ends
-    /// the linger immediately.  Returns the number appended; 0 is the
-    /// shutdown signal.
-    std::size_t pop_batch(std::vector<Request>& out, std::size_t max,
-                          std::chrono::microseconds max_wait = std::chrono::microseconds{0});
+    /// FIFO order without waiting for more.  Returns the number appended;
+    /// 0 is the shutdown signal.
+    std::size_t pop_batch(std::vector<Request>& out, std::size_t max);
 
     /// Rejects future pushes and wakes every waiter.  Idempotent; requests
     /// already accepted remain poppable.
@@ -97,12 +87,11 @@ private:
     Claim try_push(Request& r);
     /// Lock-free pops of the requests already published, up to `max`.
     std::size_t try_pop(std::vector<Request>& out, std::size_t max);
-    [[nodiscard]] bool closed() const;
     /// Closed, and every request accepted before close() has been popped.
     [[nodiscard]] bool drained() const;
     /// Wakes the threads counted in `sleepers` after this one changed the
-    /// ring (`locked`: the caller already holds mutex_).
-    void wake(const std::atomic<u32>& sleepers, std::condition_variable& cv, bool locked);
+    /// ring.
+    void wake(const std::atomic<u32>& sleepers, std::condition_variable& cv);
 
     const std::size_t capacity_;
     const std::unique_ptr<Cell[]> cells_;

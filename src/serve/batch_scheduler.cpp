@@ -1,7 +1,6 @@
 #include "serve/batch_scheduler.h"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 #include <string>
 #include <utility>
@@ -19,12 +18,10 @@ using core::Verify_status;
 
 Batch_scheduler::Batch_scheduler(Tenant_table& tenants) : tenants_(tenants) {}
 
-void Batch_scheduler::record_latency(const Request& req, Serve_stats& stats)
+void Batch_scheduler::record_latency(const Request& req, u64 t_done, Serve_stats& stats)
 {
-    if (req.enqueued_at.time_since_epoch().count() == 0) return;  // untimestamped replay
-    const double us = std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - req.enqueued_at)
-                          .count();
+    if (req.trace.t_submit == 0) return;  // never submitted: a bench replay
+    const double us = obs::ticks_between_us(req.trace.t_submit, t_done);
     stats.latency_us.record(us);
     if (obs::enabled()) {
         if (tenant_latency_.size() <= req.tenant_id)
@@ -37,17 +34,19 @@ void Batch_scheduler::record_latency(const Request& req, Serve_stats& stats)
     }
 }
 
-void Batch_scheduler::reject(Request& req, std::exception_ptr error, Serve_stats& stats)
+void Batch_scheduler::reject(Request& req, std::exception_ptr error, u64 t_done,
+                             Serve_stats& stats)
 {
     Tenant_counters& counters = stats.tenants[req.tenant_id];
     ++(req.op == Op::write ? counters.writes : counters.reads);
     ++counters.rejected;
-    record_latency(req, stats);
+    record_latency(req, t_done, stats);
     obs::trace_request_finish(req.trace);
     req.outcome = std::move(error);
 }
 
-void Batch_scheduler::complete(Request& req, Verify_status status, Serve_stats& stats)
+void Batch_scheduler::complete(Request& req, Verify_status status, u64 t_done,
+                               Serve_stats& stats)
 {
     Tenant_counters& counters = stats.tenants[req.tenant_id];
     const bool read = req.op == Op::read;
@@ -64,7 +63,7 @@ void Batch_scheduler::complete(Request& req, Verify_status status, Serve_stats& 
                                      req.layer_id, req.fmap_idx, req.blk_idx,
                                      static_cast<u8>(status));
     }
-    record_latency(req, stats);
+    record_latency(req, t_done, stats);
     obs::trace_request_finish(req.trace);
     req.outcome = status;
 }
@@ -102,12 +101,15 @@ void Batch_scheduler::flush(Tenant& tenant, Op op, std::span<Request* const> seg
     }
 
     // The session call is each request's "crypto" phase, retries included,
-    // so a traced request keeps its full decomposition on every path.
+    // so a traced request keeps its full decomposition on every path.  The
+    // flush's one clock read, after the call, is every request's
+    // completion time.
     const u64 tf0 = traced ? obs::now_ticks() : 0;
-    const auto stamp_flush = [&] {
-        if (!traced) return;
+    const auto flush_end = [&] {
         const u64 tf1 = obs::now_ticks();
-        for (Request* r : segment) obs::trace_request_flush(r->trace, tf0, tf1);
+        if (traced)
+            for (Request* r : segment) obs::trace_request_flush(r->trace, tf0, tf1);
+        return tf1;
     };
     std::vector<Verify_status> statuses;
     try {
@@ -118,8 +120,7 @@ void Batch_scheduler::flush(Tenant& tenant, Op op, std::span<Request* const> seg
             statuses = tenant.session().read_units(reads_);
     } catch (const Seda_error&) {
         if (retry) {
-            stamp_flush();
-            reject(*segment.front(), std::current_exception(), stats);
+            reject(*segment.front(), std::current_exception(), flush_end(), stats);
             return;
         }
         // stage_writes validates every entry before it mutates anything, and
@@ -133,11 +134,11 @@ void Batch_scheduler::flush(Tenant& tenant, Op op, std::span<Request* const> seg
         }
         return;
     }
-    stamp_flush();
+    const u64 t_done = flush_end();
     ++stats.batches;
     obs::Stage_span span(obs::Stage::complete);
     for (std::size_t i = 0; i < segment.size(); ++i)
-        complete(*segment[i], write ? Verify_status::ok : statuses[i], stats);
+        complete(*segment[i], write ? Verify_status::ok : statuses[i], t_done, stats);
 }
 
 void Batch_scheduler::flush_pending(Tenant& tenant, Op op, Serve_stats& stats)

@@ -26,10 +26,11 @@
 // One flush, one completion: every segment, whatever its op, goes through
 // flush() -- one session call (which pulls the Dram_tap and records the
 // flush flight event; a read decrypts straight into each request's own
-// payload), one trace stamp of the flush window, then complete() per
-// request in admission order.  complete() counts the outcome, records the
-// latency, finishes the trace and stores the status in the request; it
-// settles no promise.  deliver() does that afterwards, for a whole run in
+// payload), one clock read at its end (every request's completion time,
+// and the traced requests' flush stamp), then complete() per request in
+// admission order.  complete() counts the outcome, records the latency
+// from the request's submit stamp to that flush end, finishes the trace
+// and stores the status in the request; it settles no promise.  deliver() does that afterwards, for a whole run in
 // run order, on whichever thread the caller picks -- the server hands it
 // to a pool worker, so the scheduler goes straight on to the next window.
 //
@@ -84,12 +85,14 @@ private:
     void flush(Tenant& tenant, Op op, std::span<Request* const> segment,
                Serve_stats& stats, bool retry = false);
     /// Counts `req`'s outcome and records it in the request (an ok read's
-    /// plaintext is already in its payload).
-    void complete(Request& req, core::Verify_status status, Serve_stats& stats);
-    void reject(Request& req, std::exception_ptr error, Serve_stats& stats);
-    /// Serve_stats latency plus the per-tenant labeled registry histogram
-    /// (which carries the request's trace id as an exemplar when sampled).
-    void record_latency(const Request& req, Serve_stats& stats);
+    /// plaintext is already in its payload).  `t_done` is the end of the
+    /// flush that completed it (obs::now_ticks()).
+    void complete(Request& req, core::Verify_status status, u64 t_done, Serve_stats& stats);
+    void reject(Request& req, std::exception_ptr error, u64 t_done, Serve_stats& stats);
+    /// Submit-to-`t_done` latency into Serve_stats plus the per-tenant
+    /// labeled registry histogram (which carries the request's trace id as
+    /// an exemplar when sampled).
+    void record_latency(const Request& req, u64 t_done, Serve_stats& stats);
 
     Tenant_table& tenants_;
     /// Cached serve_tenant_latency_us{tenant=N} handles, scheduler thread

@@ -34,7 +34,6 @@ struct Loadgen_config {
     std::size_t clients = 4;           ///< concurrent closed-loop clients per tenant
     std::size_t requests = 64;         ///< requests per client
     std::size_t jobs = 1;              ///< server crypto workers (0 = hardware)
-    std::size_t max_wait_us = 0;       ///< coalescing linger (Server_config::max_wait_us)
     u64 seed = 0x5EDA;
     Bytes unit_bytes = 64;
     std::size_t units_per_client = 16; ///< disjoint slots each client owns

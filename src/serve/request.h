@@ -20,7 +20,6 @@
 // possible, else as an exception delivered through the promise.
 #pragma once
 
-#include <chrono>
 #include <exception>
 #include <future>
 #include <optional>
@@ -75,12 +74,11 @@ struct Request {
     /// else its status (and, for an ok read, the plaintext in `payload`).
     std::variant<core::Verify_status, std::exception_ptr> outcome;
 
-    /// Set by Server::submit; a zero value means "no timestamp" and the
-    /// dispatcher records no latency sample (deterministic bench replays).
-    std::chrono::steady_clock::time_point enqueued_at{};
-
-    /// Request-scoped trace stamps (obs/request_trace.h); trace_id == 0
-    /// (the untraced/unsampled case) makes every stamp a no-op.
+    /// The submit stamp and the request-scoped trace stamps
+    /// (obs/request_trace.h).  Server::submit stamps trace.t_submit on
+    /// every request; a zero t_submit (a request dispatched without
+    /// submit, as in deterministic bench replays) records no latency, and
+    /// trace_id == 0 (untraced) makes every later stamp a no-op.
     obs::Trace_context trace;
 };
 

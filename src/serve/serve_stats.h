@@ -10,7 +10,7 @@
 //                      `seda_cli loadgen --json` prints exactly these, so
 //                      the output is byte-diffable across --jobs values.
 //   * timing-bound   - batches (how traffic happened to coalesce) and
-//                      latency_us (wall clock).  Human-readable output
+//                      latency_us (TSC ticks).  Human-readable output
 //                      only; never part of the JSON contract.
 //
 // payload_fold is an XOR of FNV-1a digests of successful read payloads:
@@ -85,11 +85,14 @@ struct Serve_stats {
     /// (deterministic given the submit stream; the request was never
     /// admitted, so it appears in no tenant row).
     u64 evicted_rejects = 0;
-    /// Per-request wall latency (timestamped submits only).  Log-scale
-    /// bucketed: memory stays bounded at ANY request count, deltas merge by
-    /// bucket addition, and p50/p99/p999 read back exact to ~3% bucket
-    /// resolution over ALL of time -- unlike the capped sample ring this
-    /// replaces, whose percentiles described only a recent window.
+    /// Per-request latency from the request's submit stamp to the end of
+    /// the flush that completed it, both TSC reads (submitted requests
+    /// only).  The promise settles after that, on the completion drainer,
+    /// so the hand-off to the client is not in it.  Log-scale bucketed:
+    /// memory stays bounded at ANY request count, deltas merge by bucket
+    /// addition, and p50/p99/p999 read back exact to ~3% bucket resolution
+    /// over ALL of time -- unlike the capped sample ring this replaces,
+    /// whose percentiles described only a recent window.
     obs::Log_histogram latency_us;
 
     /// Sums every tenant row (folds XOR together, as the fold order-freedom

@@ -1,7 +1,6 @@
 #include "serve/server.h"
 
 #include <algorithm>
-#include <chrono>
 #include <iterator>
 #include <utility>
 
@@ -41,6 +40,9 @@ Server::Server(std::span<const u8> master_enc, std::span<const u8> master_mac,
     // The scheduler thread would throw on a zero cap at start(), out of a
     // std::thread, which terminates the process.
     require(cfg_.max_batch >= 1, "serve: max_batch must be >= 1");
+    // Latencies are tick deltas: calibrate the tick rate here (a ~1 ms spin,
+    // once per process) rather than on the scheduler thread mid-flush.
+    (void)obs::ticks_to_us(0);
     for (std::size_t i = 0; i < cfg_.tenants; ++i) add_tenant();
 }
 
@@ -83,8 +85,7 @@ std::future<Response> Server::submit(Request req)
 
     req.reply.emplace();
     std::future<Response> result = req.reply->get_future();
-    req.enqueued_at = std::chrono::steady_clock::now();
-    obs::trace_request_begin(req.trace);
+    obs::trace_request_begin(req.trace);  // the request's one clock read
 
     require(accepting_.load(std::memory_order_acquire),
             "serve: server is not accepting requests");
@@ -180,37 +181,26 @@ void Server::scheduler_loop()
         obs::Metrics_registry::instance().counter("serve_windows_total");
     for (;;) {
         {
-            // The window span covers the whole pop_batch call: linger window
-            // plus any idle wait for the first request (docs/OBSERVABILITY.md).
+            // The window span covers the whole pop_batch call, idle wait for
+            // the first request included (docs/OBSERVABILITY.md).
             obs::Stage_span window(obs::Stage::window);
-            if (queue_.pop_batch(run, cfg_.max_batch,
-                                 std::chrono::microseconds(cfg_.max_wait_us)) == 0)
-                return;  // closed + drained
+            if (queue_.pop_batch(run, cfg_.max_batch) == 0) return;  // closed + drained
         }
+        // One clock read per window serves every request's admit wait and
+        // the traced requests' pickup stamps.
+        const u64 t_pickup = obs::now_ticks();
         if (obs::enabled()) {
             windows_total.add(1);
             requests_total.add(run.size());
             batch_requests.record(static_cast<double>(run.size()));
             obs::Flight_recorder::record(obs::Flight_kind::window, obs::k_flight_no_tenant,
                                          0, run.size(), 0);
-            // One clock read amortized over the window; replayed requests
-            // without a submit timestamp carry no admit-wait sample.
-            const auto now = std::chrono::steady_clock::now();
             for (const Request& r : run)
-                if (r.enqueued_at.time_since_epoch().count() != 0)
-                    admit_wait.record(
-                        std::chrono::duration<double, std::micro>(now - r.enqueued_at)
-                            .count());
+                admit_wait.record(obs::ticks_between_us(r.trace.t_submit, t_pickup));
         }
-        // Pickup stamps for traced requests: one tick read amortized over
-        // the window.  Outside the enabled() block because trace recordings
-        // sample requests even under SEDA_OBS=0.
-        u64 t_pickup = 0;
-        for (Request& r : run)
-            if (r.trace.trace_id != 0) {
-                if (t_pickup == 0) t_pickup = obs::now_ticks();
-                obs::trace_request_pickup(r.trace, t_pickup);
-            }
+        // Outside the enabled() block because trace recordings sample
+        // requests even under SEDA_OBS=0.
+        for (Request& r : run) obs::trace_request_pickup(r.trace, t_pickup);
         // Dispatch into a local delta so client submit() calls never
         // contend with the crypto phase for the stats mutex.
         Serve_stats delta;

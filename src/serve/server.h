@@ -72,10 +72,6 @@ struct Server_config {
     std::size_t workers = 0;          ///< crypto pool size (0 = hardware)
     std::size_t queue_capacity = 1024;
     std::size_t max_batch = 256;      ///< coalescing cap per dispatch
-    /// Latency-bounded coalescing: a partial window lingers up to this long
-    /// for more arrivals before dispatching (0 = dispatch immediately).
-    /// Counters stay deterministic either way; only batching changes.
-    std::size_t max_wait_us = 0;
     core::Secure_mem_config mem = {}; ///< per-tenant memory configuration
 };
 

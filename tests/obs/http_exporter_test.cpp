@@ -245,6 +245,13 @@ TEST(ObsHttpExporter, EphemeralAndExplicitPortsBothBind)
 
 TEST(ObsHttpExporter, ListenPortFromEnv)
 {
+    EXPECT_EQ(parse_listen_port("1"), std::optional<u16>{1});
+    EXPECT_EQ(parse_listen_port("9187"), std::optional<u16>{9187});
+    EXPECT_EQ(parse_listen_port("65535"), std::optional<u16>{65535});
+    for (const char* bad :
+         {"", "0", "65536", "+80", " 80", "80 ", "0x50", "-1", "notaport"})
+        EXPECT_EQ(parse_listen_port(bad), std::nullopt) << "'" << bad << "'";
+
     ::unsetenv("SEDA_OBS_LISTEN");
     EXPECT_EQ(listen_port_from_env(), 0);
     ::setenv("SEDA_OBS_LISTEN", "9187", 1);

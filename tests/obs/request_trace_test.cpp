@@ -23,9 +23,6 @@
 namespace seda::obs {
 namespace {
 
-#define SKIP_UNLESS_OBS_COMPILED() \
-    if (!k_compiled_in) GTEST_SKIP() << "observability compiled out"
-
 std::size_t count_occurrences(const std::string& haystack, const std::string& needle)
 {
     std::size_t n = 0;
@@ -45,7 +42,6 @@ std::string drain_trace()
 
 TEST(ObsRequestTrace, UntracedContextIsInertAndFinishIsIdempotent)
 {
-    SKIP_UNLESS_OBS_COMPILED();
     // With no recording active and a fresh thread tick, begin either skips
     // (1-in-N) or samples; a default context with id 0 must be inert either
     // way.
@@ -60,7 +56,6 @@ TEST(ObsRequestTrace, UntracedContextIsInertAndFinishIsIdempotent)
 
 TEST(ObsRequestTrace, ActiveRecordingTracesEveryRequestAndRepairsStamps)
 {
-    SKIP_UNLESS_OBS_COMPILED();
     Trace_recorder::start();
 
     // Every begin samples while a recording is active -- ids are distinct.
@@ -137,7 +132,6 @@ TEST(ObsRequestTrace, FinishFeedsStageHistogramsWithExemplar)
 
 TEST(ObsRequestTrace, PropagatesThroughServerBulkAndFallbackPaths)
 {
-    SKIP_UNLESS_OBS_COMPILED();
     const auto key = [](u64 seed) {
         Rng rng(seed);
         std::vector<u8> k(16);

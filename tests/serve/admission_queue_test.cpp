@@ -93,80 +93,6 @@ TEST(AdmissionQueue, CloseWakesBlockedProducer)
     producer.join();
 }
 
-TEST(AdmissionQueue, MaxWaitReleasesLoneRequestAfterWindow)
-{
-    Admission_queue q(8);
-    Request r = make_request(7);
-    ASSERT_TRUE(q.push(r));
-    std::vector<Request> out;
-    const auto t0 = std::chrono::steady_clock::now();
-    // A lone request must come back once the window expires -- not be held
-    // hostage waiting for a batch that never fills.
-    EXPECT_EQ(q.pop_batch(out, 4, std::chrono::microseconds(20'000)), 1u);
-    const auto waited = std::chrono::steady_clock::now() - t0;
-    EXPECT_LT(waited, std::chrono::seconds(5));
-    EXPECT_EQ(out.front().seq, 7u);
-}
-
-TEST(AdmissionQueue, MaxWaitGathersLateArrivalsIntoOneWindow)
-{
-    Admission_queue q(8);
-    Request first = make_request(0);
-    ASSERT_TRUE(q.push(first));
-
-    std::thread producer([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        for (u64 i = 1; i < 4; ++i) {
-            Request r = make_request(i);
-            ASSERT_TRUE(q.push(r));
-        }
-    });
-    // A generous window: the late arrivals land well inside it, so one pop
-    // returns the full batch (and returns as soon as `max` is reached --
-    // nowhere near the 10 s window).
-    std::vector<Request> out;
-    EXPECT_EQ(q.pop_batch(out, 4, std::chrono::seconds(10)), 4u);
-    producer.join();
-    for (u64 i = 0; i < 4; ++i) EXPECT_EQ(out[i].seq, i);
-}
-
-TEST(AdmissionQueue, CloseCutsMaxWaitWindowShort)
-{
-    Admission_queue q(8);
-    Request r = make_request(1);
-    ASSERT_TRUE(q.push(r));
-    std::thread closer([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        q.close();
-    });
-    std::vector<Request> out;
-    const auto t0 = std::chrono::steady_clock::now();
-    EXPECT_EQ(q.pop_batch(out, 4, std::chrono::seconds(30)), 1u);
-    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(15));
-    closer.join();
-}
-
-TEST(AdmissionQueue, MaxWaitWindowStillWakesBlockedProducers)
-{
-    // The consumer's drain frees capacity; a producer blocked on a full
-    // queue must be woken DURING the window, not after it.
-    Admission_queue q(1);
-    Request first = make_request(0);
-    ASSERT_TRUE(q.push(first));
-    std::thread producer([&] {
-        Request second = make_request(1);
-        ASSERT_TRUE(q.push(second));  // blocked full until the pop drains
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    std::vector<Request> out;
-    // max = 2: the window completes as soon as the unblocked producer's
-    // request lands, long before the 30 s deadline.
-    EXPECT_EQ(q.pop_batch(out, 2, std::chrono::seconds(30)), 2u);
-    producer.join();
-    EXPECT_EQ(out[0].seq, 0u);
-    EXPECT_EQ(out[1].seq, 1u);
-}
-
 TEST(AdmissionQueue, InvalidConfigThrows)
 {
     EXPECT_THROW(Admission_queue q(0), Seda_error);

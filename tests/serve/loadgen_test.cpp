@@ -71,6 +71,10 @@ TEST(Loadgen, CleanLoadHasZeroFailuresAndFullCounts)
     EXPECT_GT(totals.reads, 0u);
     // Every request was timestamped through the real submit path.
     EXPECT_EQ(result.stats.latency_us.count(), result.total_requests);
+    // Each latency runs from submit to the end of its flush, both inside
+    // the run's wall time: a wrapped tick delta or a completion stamp
+    // taken on the wrong side would exceed it.
+    EXPECT_LE(result.stats.latency_us.max(), result.wall_seconds * 1e6);
 }
 
 TEST(Loadgen, StatsAreDeterministicAcrossWorkerCounts)

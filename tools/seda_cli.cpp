@@ -47,7 +47,6 @@ struct Options {
     std::size_t tenants = 2;
     std::size_t clients = 4;
     std::size_t requests = 64;
-    std::size_t max_wait_us = 0;
     u64 seed = 0x5EDA;
     std::string mode = "serve";  ///< infer replay path: serve | session
     // infer defaults to 1 tenant x 1 inference (a full model pass is many
@@ -121,12 +120,6 @@ void obs_begin(const Options& o)
     const bool wants = !o.stats_out.empty() || !o.stats_json.empty() ||
                        !o.trace_out.empty() || !o.flight_out.empty() || o.stages;
     if (!wants) return;
-    if (!obs::k_compiled_in) {
-        std::cerr << "seda_cli: note: built with SEDA_DISABLE_OBS; "
-                     "--stages/--stats-out/--stats-json/--trace-out/--flight-out "
-                     "emit empty output\n";
-        return;
-    }
     if (!obs::enabled())
         std::cerr << "seda_cli: note: SEDA_OBS=0 disables stage metrics; "
                      "scrape output will be empty\n";
@@ -212,7 +205,7 @@ struct Live_plane {
         want_watch = o.watch_ms != 0;
         const bool want_slo = !o.slos.empty();
         if (!want_watch && !want_slo) return;
-        if (!obs::k_compiled_in || !obs::enabled())
+        if (!obs::enabled())
             std::cerr << "seda_cli: note: observability is off; --watch/--slo see "
                          "empty snapshots\n";
         if (want_slo) {
@@ -450,7 +443,6 @@ int cmd_loadgen(const Options& o)
     cfg.clients = o.clients;
     cfg.requests = o.requests;
     cfg.jobs = o.jobs;
-    cfg.max_wait_us = o.max_wait_us;
     cfg.seed = o.seed;
 
     obs_begin(o);
@@ -548,7 +540,6 @@ int cmd_infer(const Options& o)
     cfg.inferences = o.requests_set ? o.requests : 1;
     cfg.jobs = o.jobs;
     cfg.seed = o.seed;
-    cfg.max_wait_us = o.max_wait_us;
     if (o.mode == "serve")
         cfg.path = infer::Replay_path::serve;
     else if (o.mode == "session")
@@ -687,7 +678,6 @@ int cmd_attack(const Options& o)
     cfg.clients = o.clients;
     cfg.requests = o.requests_set ? o.requests : 16;
     cfg.jobs = o.jobs;
-    cfg.max_wait_us = o.max_wait_us;
     cfg.hot_swap = true;
     cfg.infer_traffic = true;
     cfg.model = o.model_set ? o.model : "lenet";
@@ -822,8 +812,6 @@ int usage(std::ostream& os)
           "                            inferences per tenant (infer 1)\n"
           "  --faults N                campaign plan size (attack; default 8)\n"
           "  --mode serve|session      infer replay path (default serve)\n"
-          "  --max-wait-us N           batching linger window (loadgen, infer, attack;\n"
-          "                            default 0)\n"
           "  --seed S                  determinism seed (loadgen, infer, attack;\n"
           "                            default 24282)\n"
           "  --stages                  per-stage latency table on stderr (loadgen,\n"
@@ -890,8 +878,6 @@ Options parse(int argc, char** argv)
             parse_int(arg, next(), o.faults);
         else if (arg == "--mode")
             o.mode = next();
-        else if (arg == "--max-wait-us")
-            parse_int(arg, next(), o.max_wait_us);
         else if (arg == "--seed")
             parse_int(arg, next(), o.seed);
         else if (arg == "--stages")
